@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 bench/run.py --workload scaling-n1000 --seed 0 --seconds 20 --trace 0
+    python3 bench/run.py --workload scaling-n1000 --seed 0 --seconds 30 --trace 0
 
 Every experiment goes through the public ``roommates.run_experiment`` in a
 fresh interpreter (``bench/experiment.py``) that imports the package from
@@ -14,7 +14,11 @@ loop) until ``--seconds`` are used, and reports the end-to-end metrics
 named in ``BENCHMARK.json``:
 
 - ``throughput_per_s``: replicates or samples, over the whole n grid,
-  completed per second of ``run_experiment``; median over the experiments;
+  completed per second of ``run_experiment``, at the reference speed of the
+  cores: each experiment's rate is scaled by the time a fixed reference
+  kernel took on both cores around it over ``REFERENCE_S`` (see
+  ``reference_s``); median over the experiments.  The unscaled rate and the
+  kernel time are in each experiment's record;
 - ``setup_s``: launch of a fresh interpreter until ``import roommates``
   completes; median over every launch of the run;
 - ``peak_rss_mb``: largest resident set of an experiment process and of its
@@ -42,6 +46,7 @@ summary goes to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.metadata
 import json
 import os
@@ -53,26 +58,93 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-# Sizes are set so that one workers=2 experiment lasts 4 to 7 s on a 2-core
-# machine, every worker gets several chunks, and a traced run (three
-# workers=1 experiments plus one at workers=2) stays under a minute.
+import numpy as np
+
+# Sizes are set so that one workers=2 experiment lasts about 1.5 to 4 s on a
+# 2-core machine, with eight or more chunks so that every worker gets
+# several: a run of 30 s then holds about ten experiments for its median.
 WORKLOADS = {
     # Irving's solver on long instances (~85% of the time), generation the rest.
-    "scaling-n1000": {"kind": "scaling", "n_grid": [1000], "replicates": 192, "chunk_size": 16},
+    "scaling-n1000": {"kind": "scaling", "n_grid": [1000], "replicates": 64, "chunk_size": 8},
     # The same layers on short instances; many short chunks.
-    "scaling-n100": {"kind": "scaling", "n_grid": [100], "replicates": 10240, "chunk_size": 256},
+    "scaling-n100": {"kind": "scaling", "n_grid": [100], "replicates": 4096, "chunk_size": 256},
     # stability_log_rows on 8192 x 1000 float64 batches; the memory-heavy path.
-    "ex-scaling-n1000": {"kind": "ex-scaling", "n_grid": [1000], "samples": 163840, "chunk_size": 8192},
+    "ex-scaling-n1000": {"kind": "ex-scaling", "n_grid": [1000], "samples": 65536, "chunk_size": 8192},
     # Neighbour search, conditional fill and, at n=12, enumeration.
-    "census-n12-50": {"kind": "census", "n_grid": [12, 50], "samples": 4096, "chunk_size": 128},
+    "census-n12-50": {"kind": "census", "n_grid": [12, 50], "samples": 2048, "chunk_size": 128},
 }
 
 WORKERS = 2
 SETUP_LAUNCHES = 10
 MIN_EXPERIMENTS = 3
 RUN_LIMIT_S = 170.0  # hard cap on one benchmark run, experiments included
+# Each workload is scaled by the reference kernel of the kind of work that
+# dominates it: the solver and the neighbour search run in the interpreter,
+# ex-scaling streams float64 batches through numpy.  The solver at n=1000
+# reads 8 MB arrays, beyond the per-core caches, so its kernel does too.
+# Scaled by an interpreter-bound kernel, ex-scaling spread more than
+# unscaled; scaled by the 2 MB interpreter kernel, scaling-n1000 spread three
+# times as much as by the 8 MB one.
+REFERENCE_KERNEL = {
+    "scaling-n1000": "interpreter-8mb",
+    "scaling-n100": "interpreter-2mb",
+    "ex-scaling-n1000": "streaming",
+    "census-n12-50": "interpreter-2mb",
+}
+# Each kernel's time on the first baseline's machine in its fastest
+# minutes; see reference_s().
+REFERENCE_S = {"interpreter-2mb": 0.125, "interpreter-8mb": 0.135, "streaming": 0.09}
+
+
+def _interpreter_task(size: int, seed: int) -> float:
+    # Python loops reading a size x size array one element at a time, down
+    # rows of an argsort and across columns, as the solver and the neighbour
+    # search do; 250k reads whatever the size
+    a = np.random.default_rng(seed).random((size, size))
+    rows = 250_000 // size
+    order = np.argsort(a[:rows], axis=1)
+    total = 0.0
+    for x in range(rows):
+        row = order[x]
+        for pos in range(size):
+            total += a[row[pos], x]
+    return total
+
+
+def _streaming_task(seed: int) -> float:
+    # 32 MB arrays: together on both cores, twice the L3 of that machine
+    a = np.random.default_rng(seed).random((512, 8192))
+    total = a.copy()
+    power = a.copy()
+    for _ in range(4):
+        power *= a
+        total += power
+    return float(total.sum())
+
+
+KERNEL_TASKS = {
+    "interpreter-2mb": functools.partial(_interpreter_task, 500),
+    "interpreter-8mb": functools.partial(_interpreter_task, 1000),
+    "streaming": _streaming_task,
+}
+
+
+def reference_s(pool: ProcessPoolExecutor, kind: str) -> float:
+    """Wall time of a reference kernel on both cores.
+
+    The host's cores change speed by up to half over seconds to minutes,
+    with the load of other machines, and CPU time grows with wall time, so
+    the slowdown cannot be told from the program's own work by timing alone.
+    A kernel is fixed work unrelated to the program, of the kind that
+    dominates the workload.  It runs right before and after each experiment
+    on the same number of workers, and the experiment's throughput is scaled
+    by how much slower than ``REFERENCE_S`` it ran around it."""
+    t0 = time.perf_counter()
+    list(pool.map(KERNEL_TASKS[kind], range(8)))
+    return time.perf_counter() - t0
 
 
 def launch(root: Path, request: dict, env: dict, deadline: float) -> dict | None:
@@ -143,22 +215,32 @@ class Bench:
     def end_to_end(self, seconds: float) -> dict:
         self.run()  # warm-up: bytecode cache and page cache
         setup = [r["setup_s"] for r in (self.run() for _ in range(SETUP_LAUNCHES)) if r]
-        window_end = time.monotonic() + seconds
-        while True:
-            t0 = time.monotonic()
-            record = self.run(WORKERS)
-            now = time.monotonic()
-            last = now - t0
-            if record is not None:
-                setup.append(record["setup_s"])
-            if now + last > self.started + RUN_LIMIT_S:
-                break
-            if len(self.records) >= MIN_EXPERIMENTS and now + last > window_end:
-                break
+        kind = REFERENCE_KERNEL[self.workload]
+        with ProcessPoolExecutor(WORKERS) as pool:
+            reference_s(pool, kind)  # starts the pool's workers
+            before = reference_s(pool, kind)
+            window_end = time.monotonic() + seconds
+            while True:
+                t0 = time.monotonic()
+                record = self.run(WORKERS)
+                after = reference_s(pool, kind)
+                now = time.monotonic()
+                last = now - t0
+                if record is not None:
+                    setup.append(record["setup_s"])
+                    raw = record["units"] / record["wall_s"]
+                    record["throughput_raw_per_s"] = raw
+                    record["reference_s"] = (before + after) / 2
+                    record["throughput_per_s"] = raw * record["reference_s"] / REFERENCE_S[kind]
+                before = after
+                if now + last > self.started + RUN_LIMIT_S:
+                    break
+                if len(self.records) >= MIN_EXPERIMENTS and now + last > window_end:
+                    break
         ok = [r for r in self.records if r is not None]
         attempted = len(self.records)
         return {
-            "throughput_per_s": statistics.median(r["units"] / r["wall_s"] for r in ok) if ok else 0.0,
+            "throughput_per_s": statistics.median(r["throughput_per_s"] for r in ok) if ok else 0.0,
             "setup_s": statistics.median(setup) if setup else 0.0,
             "peak_rss_mb": max((r["peak_rss_mb"] for r in ok), default=0.0),
             "success_rate": (attempted - self.failed()) / attempted,
@@ -244,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
