@@ -30,7 +30,7 @@ from .combinatorics import double_factorial
 from ._numerics import stability_log_rows
 from .instances import RngStream, UtilityMatrix, rank_from_utilities
 from .matchings import Matching
-from .solvers import enumerate_stable, irving_decide
+from .solvers import ENUM_CAP, enumerate_stable, irving_decide
 
 MERTENS_COEFF = math.e * math.sqrt(2.0 / math.pi)
 
@@ -45,7 +45,8 @@ class ExperimentConfig:
 
     ``workers`` parallelizes chunk execution only; ``chunk_size`` of 0
     picks a per-experiment default.  ``enum_cap`` bounds the agent count up
-    to which the census materializes the full stable-matching count.
+    to which the census materializes the full stable-matching count; it
+    cannot exceed the enumeration cap of ``enumerate_stable``.
     """
 
     kind: str
@@ -68,17 +69,33 @@ class ExperimentConfig:
         for n in self.n_grid:
             if n % 2 != 0 or n < 4:
                 raise ConfigError(f"n values must be even integers >= 4, got {n}")
+            if n >= _N_LIMIT:
+                raise ConfigError(f"n values must be < 2**20 (seed-stream key), got {n}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.chunk_size < 0:
+            raise ConfigError("chunk_size must be >= 0")
+        work = self.replicates if self.kind == "scaling" else self.samples
+        chunks = -(-work // self.chunk_len())
+        if chunks >= _CHUNK_LIMIT:
+            raise ConfigError(f"{chunks} chunks per n exceed the seed-stream key (< 2**32)")
         if self.nu_cap < 2:
             raise ConfigError("nu_cap must be >= 2")
+        if self.enum_cap > ENUM_CAP:
+            raise ConfigError(
+                f"enum_cap {self.enum_cap} exceeds the enumeration cap of {ENUM_CAP}"
+            )
         for n in self.n_grid:
             if self.kind == "census" and self.nu_cap > n // 2:
                 raise ConfigError(f"nu_cap {self.nu_cap} exceeds n/2 for n={n}")
+
+    def chunk_len(self) -> int:
+        """Work items per chunk: ``chunk_size`` or the kind's default."""
+        return self.chunk_size or _DEFAULT_CHUNK[self.kind]
 
     def config_hash(self) -> str:
         """Hash of the data-determining fields only: worker count and output
@@ -120,6 +137,11 @@ class ConditionalCensusRow:
 
 
 _KIND_IDS = {"scaling": 1, "census": 2, "ex-scaling": 3}
+_DEFAULT_CHUNK = {"scaling": 256, "census": 128, "ex-scaling": 8192}
+# Field widths of the stream key below; ExperimentConfig keeps n and the
+# chunk index inside them, so distinct chunks never share a stream.
+_N_LIMIT = 1 << 20
+_CHUNK_LIMIT = 1 << 32
 
 
 def _chunk_stream(master_seed: int, kind: str, n: int, chunk: int) -> RngStream:
@@ -144,6 +166,9 @@ def _scaling_chunk(args) -> int:
     for _ in range(count):
         pref, score = _random_pref_score(gen, n)
         partner, _, _ = irving_decide(pref, score)
+        # free this instance before the next is drawn: one live instance
+        # per worker keeps its peak memory at a single n x n pair
+        del pref, score
         if partner is not None:
             exists += 1
     return exists
@@ -174,7 +199,7 @@ def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
     """Existence frequency of a stable matching across the n grid."""
     if config.kind != "scaling":
         raise ConfigError("config kind must be 'scaling'")
-    chunk_size = config.chunk_size or 256
+    chunk_size = config.chunk_len()
     rows = []
     for n in config.n_grid:
         t0 = time.perf_counter()
@@ -216,7 +241,7 @@ def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
     across the n grid."""
     if config.kind != "ex-scaling":
         raise ConfigError("config kind must be 'ex-scaling'")
-    chunk_size = config.chunk_size or 8192
+    chunk_size = config.chunk_len()
     rows = []
     for n in config.n_grid:
         t0 = time.perf_counter()
@@ -421,7 +446,7 @@ def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRo
     conditioned on the reference matching being stable."""
     if config.kind != "census":
         raise ConfigError("config kind must be 'census'")
-    chunk_size = config.chunk_size or 128
+    chunk_size = config.chunk_len()
     rows = []
     for n in config.n_grid:
         t0 = time.perf_counter()

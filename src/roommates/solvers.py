@@ -64,16 +64,17 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
     ``score``: (n, n) numbers consistent with that order: score[i][j] is
     lower the more i prefers j (raw utilities and rank positions both
     qualify).  Working with score thresholds instead of rank positions
-    keeps the hot path free of an auxiliary rank-matrix build.
+    keeps the hot path free of an auxiliary rank-matrix build.  Scalars
+    are read through memoryviews, which copy nothing and return Python
+    numbers faster than numpy scalar indexing.
     Returns (partner list or None, proposal count, rotation count).
     """
     n = pref.shape[0]
     last_pos = n - 2
-    inf = float("inf")
-    # worst_score[y]: y's table is truncated strictly below this utility
-    worst_score = [inf] * n
-    # worst_pos[x]: last admissible position in x's own row
-    worst_pos = [last_pos] * n
+    P = memoryview(pref)
+    S = memoryview(score)
+    # ws[y]: y's table is truncated strictly below this score
+    ws = [float("inf")] * n
     holder = [-1] * n
     nxt = [0] * n
     proposals = 0
@@ -84,121 +85,136 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
     for x0 in range(n):
         x = x0
         while x != -1:
-            row = pref[x]
             pos = nxt[x]
-            thr = worst_score[x]
+            thr = ws[x]
             y = -1
             while pos <= last_pos:
-                y = row[pos]
-                if score[x, y] > thr:
+                y = P[x, pos]
+                if S[x, y] > thr:
                     pos = n
                     break
-                if score[y, x] <= worst_score[y]:
+                if S[y, x] <= ws[y]:
                     break
                 pos += 1
             nxt[x] = pos
             if pos > last_pos:
                 return None, proposals, 0  # rejected by every admissible agent
-            y = int(y)
             proposals += 1
             h = holder[y]
             holder[y] = x
-            worst_score[y] = score[y, x]
+            ws[y] = S[y, x]
             if h == -1:
                 x = -1
             else:
                 nxt[h] += 1
                 x = h
     # At phase-1 end each agent holds exactly one proposal, sitting at the
-    # end of its reduced row; recover those positions in one pass.
+    # end of its reduced row; recover those positions (worst_pos[x]: last
+    # admissible position in x's own row) in one pass.
     worst_pos = (pref == np.asarray(holder, dtype=pref.dtype)[:, None]).argmax(axis=1).tolist()
 
-    # Phase-2 table: entry (i, j) is alive iff both sides admit it.
+    # Phase-2 table: entry (i, j) is alive iff both sides admit it.  Entries
+    # only ever die, so every scan pointer below moves one way.
+    fp = nxt  # phase 1 leaves each agent at its first live position
+    sp = [1] * n  # no live entry lies strictly between fp and sp
+    lp = list(worst_pos)  # last live position
+
     def first_alive(i):
         pos = fp[i]
         w = worst_pos[i]
-        row = pref[i]
         while pos <= w:
-            z = row[pos]
-            if score[z, i] <= worst_score[z]:
+            z = P[i, pos]
+            if S[z, i] <= ws[z]:
                 fp[i] = pos
-                return int(z)
+                return z
             pos += 1
         fp[i] = pos
-        return None
+        return -1
 
     def second_alive(i):
-        if first_alive(i) is None:
-            return None
-        pos = fp[i] + 1
+        if first_alive(i) < 0:
+            return -1
+        pos = sp[i]
+        if pos <= fp[i]:
+            pos = fp[i] + 1
         w = worst_pos[i]
-        row = pref[i]
         while pos <= w:
-            z = row[pos]
-            if score[z, i] <= worst_score[z]:
-                return int(z)
+            z = P[i, pos]
+            if S[z, i] <= ws[z]:
+                sp[i] = pos
+                return z
             pos += 1
-        return None
+        sp[i] = pos
+        return -1
 
     def last_alive(i):
         pos = min(lp[i], worst_pos[i])
-        row = pref[i]
         while pos >= 0:
-            z = row[pos]
-            if score[z, i] <= worst_score[z]:
+            z = P[i, pos]
+            if S[z, i] <= ws[z]:
                 lp[i] = pos
-                return int(z)
+                return z
             pos -= 1
         lp[i] = pos
-        return None
+        return -1
 
-    fp = [0] * n
-    lp = list(worst_pos)
     rotations = 0
     p0 = 0
+    # The rotation search walks x -> last(second(x)) and keeps its path in
+    # seq; after an elimination it resumes from the part of the path that
+    # the elimination left intact instead of restarting (Gusfield & Irving
+    # 1989, sec. 4.2).
+    seq: list[int] = []
+    at = [-1] * n  # at[i]: index of i in seq, or -1
     while True:
-        advanced = True
-        while p0 < n and advanced:
-            if first_alive(p0) is None:
-                return None, proposals, rotations
-            if second_alive(p0) is not None:
-                advanced = False
-            else:
+        if not seq:
+            # agents before p0 hold a single entry, which no elimination removes
+            while p0 < n:
+                if first_alive(p0) < 0:
+                    return None, proposals, rotations
+                if second_alive(p0) >= 0:
+                    break
                 p0 += 1
-        if p0 == n:
-            break
-        # Hunt an all-or-nothing rotation: x -> last(second(x)) cycles.
-        seq = [p0]
-        pos_in_seq = {p0: 0}
-        while True:
-            q = second_alive(seq[-1])
-            nxt_x = last_alive(q)
-            if nxt_x in pos_in_seq:
-                cycle = seq[pos_in_seq[nxt_x]:]
+            if p0 == n:
                 break
-            pos_in_seq[nxt_x] = len(seq)
+            seq.append(p0)
+            at[p0] = 0
+        q = second_alive(seq[-1])
+        if q < 0:  # the tail lost its second entry to the last elimination
+            at[seq.pop()] = -1
+            continue
+        nxt_x = last_alive(q)
+        k = at[nxt_x]
+        if k < 0:
+            at[nxt_x] = len(seq)
             seq.append(nxt_x)
+            continue
+        cycle = seq[k:]
         rot = [(x, second_alive(x)) for x in cycle]
         rotations += 1
+        # Every entry the elimination removes touches a y of the rotation,
+        # and a link a -> last(second(a)) changes only if a, its second or
+        # that agent's last loses an entry.  So the links below the lowest
+        # rotation agent on the path survive; the walk resumes there.
+        for _, y in rot:
+            if 0 <= at[y] < k:
+                k = at[y]
+        for x in seq[k:]:
+            at[x] = -1
+        del seq[k:]
         # Each y accepts the proposal of its rotation partner x, truncating
-        # its list below x; agents cut loose may end up with empty lists.
-        dropped: list[int] = []
+        # its list below x.  The table keeps first(a) = b iff last(b) = a, so
+        # an agent cut loose from y had y as its first only if it was
+        # last(y), i.e. a rotation agent: only those can change their first
+        # entry, and only those can end up with empty lists.
         for x, y in rot:
-            row = pref[y]
-            old_w = worst_pos[y]
-            pos = old_w
-            while row[pos] != x:
-                z = row[pos]
-                if score[z, y] <= worst_score[z]:
-                    dropped.append(int(z))
-                pos -= 1
-            worst_pos[y] = pos
-            worst_score[y] = score[y, x]
-        for z in dropped:
-            if first_alive(z) is None:
+            worst_pos[y] = int((pref[y, : worst_pos[y] + 1] == x).argmax())
+            ws[y] = S[y, x]
+        for x in cycle:
+            if first_alive(x) < 0:
                 return None, proposals, rotations
 
-    partner = [int(pref[i][fp[i]]) for i in range(n)]
+    partner = [P[i, fp[i]] for i in range(n)]
     for i, j in enumerate(partner):
         if partner[j] != i:  # cannot happen for a stable table
             raise AssertionError("phase 2 terminated on an inconsistent table")
@@ -212,7 +228,7 @@ def irving_solve(p: PreferenceProfile) -> SolveResult:
     return SolveResult(matching, proposals, rotations)
 
 
-_DEFAULT_ENUM_CAP = 20
+ENUM_CAP = 20  # default agent cap of enumerate_stable
 
 
 def enumerate_stable(
@@ -232,7 +248,7 @@ def enumerate_stable(
     the default agent cap of 20.  ``prune=False`` runs the plain exhaustive
     search (used to validate the pruning).
     """
-    cap = limit if limit is not None else _DEFAULT_ENUM_CAP
+    cap = limit if limit is not None else ENUM_CAP
     if p.n > cap:
         raise ResourceCapError(
             f"enumeration over {p.n} agents exceeds the cap of {cap}; "

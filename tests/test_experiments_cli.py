@@ -20,6 +20,7 @@ from roommates.experiments import (
 )
 from roommates.instances import RngStream
 from roommates.matchings import Matching, is_stable, single_cycle_neighbors
+from roommates.solvers import ENUM_CAP
 
 from conftest import profile_from_utilities_fast
 
@@ -37,6 +38,40 @@ def test_config_validation():
         ExperimentConfig(kind="census", n_grid=(8,), nu_cap=5)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="scaling", n_grid=(10,), workers=0)
+
+
+def test_seed_stream_key_bounds():
+    # n and the chunk index fill 20 and 32 bits of the stream key; larger
+    # values used to alias other streams (n = 2**20 + 4 drew n = 4's)
+    ExperimentConfig(kind="scaling", n_grid=(2**20 - 2,))
+    for kind in ("scaling", "census", "ex-scaling"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind=kind, n_grid=(2**20 + 4,))
+    # chunk counts at each kind's default chunk size, and at an explicit one
+    ExperimentConfig(kind="scaling", n_grid=(4,), replicates=256 * (2**32 - 1))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="scaling", n_grid=(4,), replicates=256 * 2**32)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="census", n_grid=(4,), samples=128 * 2**32, nu_cap=2)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="ex-scaling", n_grid=(4,), samples=8192 * 2**32)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="ex-scaling", n_grid=(4,), samples=2**32, chunk_size=1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="scaling", n_grid=(4,), chunk_size=-1)
+
+
+def test_enum_cap_beyond_solver_cap_fails_before_work(tmp_path):
+    ExperimentConfig(kind="census", n_grid=(22,), enum_cap=ENUM_CAP)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="census", n_grid=(22,), enum_cap=ENUM_CAP + 1)
+    out = tmp_path / "c.csv"
+    run = _cli(
+        "census", "--n-grid", "22", "--enum-cap", "22", "--samples", "4",
+        "--output", str(out),
+    )
+    assert run.returncode == 2
+    assert not out.exists()
 
 
 def test_config_hash_ignores_workers_and_output():

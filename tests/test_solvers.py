@@ -1,8 +1,14 @@
 import pytest
 
-from roommates.instances import RngStream, sample_profile
+from roommates.experiments import ExperimentConfig, _random_pref_score, run_scaling
+from roommates.instances import PreferenceProfile, RngStream, sample_profile
 from roommates.matchings import Matching, is_stable, symmetric_difference
-from roommates.solvers import ResourceCapError, enumerate_stable, irving_solve
+from roommates.solvers import (
+    ResourceCapError,
+    enumerate_stable,
+    irving_decide,
+    irving_solve,
+)
 
 from conftest import make_partner_first_profile
 
@@ -94,3 +100,49 @@ def test_per_distance_requires_materialized():
     assert census.stable_list is None
     with pytest.raises(ValueError):
         census.single_cycle_marginal(2)
+
+
+# Existence and phase-1 proposal counts of the instances drawn below, as
+# computed by the solver before phase 2 was amortised.  Existence does not
+# depend on the order in which rotations are eliminated, and phase 1 is
+# untouched by it, so both must stay exactly as recorded.
+_PINNED_FOUND = {50: "011111011111", 100: "001010111000", 300: "010110101001"}
+_PINNED_PROPOSALS = {
+    50: (128, 88, 89, 87, 114, 108, 97, 141, 94, 92, 105, 92),
+    100: (239, 226, 236, 191, 277, 211, 238, 222, 217, 232, 204, 214),
+    300: (684, 754, 810, 671, 766, 670, 839, 715, 737, 807, 678, 761),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_FOUND))
+def test_irving_decide_pinned_and_stable(n):
+    multi_rotation_found = 0
+    for r, (bit, pinned) in enumerate(zip(_PINNED_FOUND[n], _PINNED_PROPOSALS[n])):
+        pref, score = _random_pref_score(RngStream(2024 + n, r).generator(), n)
+        partner, proposals, rotations = irving_decide(pref, score)
+        assert proposals == pinned
+        assert (partner is not None) == (bit == "1")
+        if partner is not None:
+            profile = PreferenceProfile(n, tuple(map(tuple, pref.tolist())))
+            assert is_stable(profile, Matching(tuple(partner)))
+            multi_rotation_found += rotations >= 2
+    assert multi_rotation_found >= 3
+
+
+@pytest.mark.parametrize("n", [50, 100, 300])
+def test_irving_solve_rank_matrices_stable(n):
+    for r in range(6):
+        p = sample_profile(n, RngStream(808 + n, r))
+        result = irving_solve(p)
+        if result.found:
+            assert is_stable(p, result.matching)
+
+
+def test_scaling_counts_pinned():
+    # count_exists as recorded before phase 2 was amortised
+    pinned = {11: [201, 175], 12: [184, 163]}
+    for seed, counts in pinned.items():
+        config = ExperimentConfig(
+            kind="scaling", n_grid=(100, 200), replicates=300, master_seed=seed
+        )
+        assert [row.count_exists for row in run_scaling(config)] == counts
