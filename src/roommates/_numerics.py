@@ -16,6 +16,12 @@ _SERIES_ATOL = 1e-13
 _SERIES_MAX_ORDER = 96
 
 
+def batch_sizes(total: int, size: int) -> list[int]:
+    """Sizes of the consecutive batches of at most ``size`` that cover
+    ``total`` draws, in draw order."""
+    return [min(size, total - lo) for lo in range(0, total, size)]
+
+
 def logsumexp(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     m = np.max(a)
@@ -124,8 +130,8 @@ class TruncatedExponential:
     """Exponential distribution of the given rate truncated to [0, 1]."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"proposal rate must be positive and finite, got {rate}")
         self.rate = rate
         self._mass = -math.expm1(-rate)  # P(Exp(rate) <= 1)
 

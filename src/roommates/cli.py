@@ -40,27 +40,6 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
 
 
 def _experiment_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config}: {exc}") from None
-        unknown = set(values) - {
-            "n_grid",
-            "replicates",
-            "samples",
-            "master_seed",
-            "workers",
-            "output",
-            "proposal_rate",
-            "nu_cap",
-            "chunk_size",
-            "enum_cap",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     overrides = {
         "n_grid": _parse_n_grid(args.n_grid) if args.n_grid else None,
         "replicates": args.replicates,
@@ -73,6 +52,16 @@ def _experiment_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
         "chunk_size": args.chunk_size,
         "enum_cap": args.enum_cap,
     }
+    values: dict = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from None
+        unknown = set(values) - set(overrides)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, val in overrides.items():
         if val is not None:
             values[key] = val

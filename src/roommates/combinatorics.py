@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .instances import check_agent_count
 from .matchings import Matching, single_cycle_neighbors
 
 
@@ -54,8 +55,7 @@ def single_cycle_count(n: int, nu: int) -> CountValue:
     """Number of matchings at symmetric-difference distance one cycle of
     length 2*nu from any fixed matching on n agents:
     C(n/2, nu) * ((nu-1)!/2) * 2^nu."""
-    if n % 2 != 0 or n < 4:
-        raise ValueError(f"n must be an even integer >= 4, got {n}")
+    check_agent_count(n)
     if not 2 <= nu <= n // 2:
         raise ValueError(f"cycle half-length must be in [2, {n // 2}], got {nu}")
     log_value = (
@@ -119,8 +119,7 @@ def brute_pair_census(n: int, nu1: int, nu2: int) -> dict[tuple[int, int], int]:
     by symmetry."""
     if n > 12:
         raise ValueError("pair census is exhaustive; capped at n <= 12")
-    if n % 2 != 0 or n < 4:
-        raise ValueError(f"n must be an even integer >= 4, got {n}")
+    check_agent_count(n)
     reference = Matching.consecutive(n)
     rows1 = _diff_partner_rows(reference, nu1)
     rows2 = _diff_partner_rows(reference, nu2) if nu2 != nu1 else rows1

@@ -20,13 +20,17 @@ import numpy as np
 
 from ._numerics import (
     TruncatedExponential,
+    batch_sizes,
     ess_from_log_weights,
     pair_log1p_sum_exact,
+    self_normalized_mean,
     stability_log_rows,
 )
 from .combinatorics import double_factorial
-from .instances import PreferenceProfile, RngStream, UtilityMatrix, rank_from_utilities
-from .matchings import Matching, symmetric_difference
+from .instances import (
+    PreferenceProfile, RngStream, UtilityMatrix, check_agent_count, rank_from_utilities
+)
+from .matchings import Matching, orient, symmetric_difference
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,8 @@ class PartnerUtilities:
     def n(self) -> int:
         return self.reference.n
 
-    @staticmethod
-    def from_instance(um: UtilityMatrix, m: Matching) -> "PartnerUtilities":
-        vals = um.u[np.arange(m.n), np.array(m.partner)]
-        return PartnerUtilities(vals, m)
+
+_DEGENERACY_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,26 @@ class Estimate:
             raise ValueError("standard error cannot be negative")
         if self.ess > self.samples + 1e-9:
             raise ValueError("effective sample size cannot exceed sample count")
+
+    @classmethod
+    def importance(cls, logw: np.ndarray) -> "Estimate":
+        """Importance-sampling mean of the weights exp(logw), with the
+        standard error of that mean."""
+        shift = float(np.max(logw))
+        w = np.exp(logw - shift)
+        mean = math.exp(shift) * float(w.mean())
+        stderr = math.exp(shift) * float(w.std(ddof=1)) / math.sqrt(len(logw))
+        return cls.weighted(mean, stderr, logw)
+
+    @classmethod
+    def weighted(cls, mean: float, stderr: float, logw: np.ndarray) -> "Estimate":
+        """An estimate over the draws with log-weights ``logw``: their
+        effective sample size, flagged degenerate below a fixed fraction of
+        the sample count."""
+        ess = ess_from_log_weights(logw)
+        return cls(
+            mean, stderr, len(logw), ess, degenerate=ess < _DEGENERACY_FRACTION * len(logw)
+        )
 
 
 _GPI_CONVENTION = (
@@ -105,28 +127,33 @@ class GpiReport:
         return self.sum_ok and self.max_ok and self.pair_ok and self.square_ok
 
 
+def gpi_rows(X: np.ndarray, m: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """The quasirandomness event on each row of ``X``, a batch of
+    partner-utility vectors under ``m``.  Returns the four statistics (sum,
+    max, matched-pair sum, square sum) as a (4, rows) array and their band
+    checks as a (4, rows) bool array; the event holds where all four do."""
+    n = m.n
+    logn = math.log(n)
+    tol = n ** (-1.0 / 3.0)
+    left, right = np.array(m.pairs()).T
+    stats = np.stack(
+        [X.sum(axis=1), X.max(axis=1), (X[:, left] * X[:, right]).sum(axis=1), (X * X).sum(axis=1)]
+    )
+    ok = np.stack(
+        [
+            np.abs(stats[0] - math.sqrt(n)) <= 10.0 * logn,
+            stats[1] <= logn**2 / math.sqrt(n),
+            np.abs(stats[2] - 0.5) <= tol,
+            np.abs(stats[3] - 2.0) <= tol,
+        ]
+    )
+    return stats, ok
+
+
 def check_gpi(x: PartnerUtilities) -> GpiReport:
     """Evaluate the quasirandomness event on a partner-utility vector."""
-    n = x.n
-    v = x.values
-    logn = math.log(n)
-    sum_x = float(v.sum())
-    max_x = float(v.max())
-    pair_sum = float(
-        sum(v[i] * v[j] for i, j in x.reference.pairs())
-    )
-    square_sum = float((v * v).sum())
-    return GpiReport(
-        n=n,
-        sum_x=sum_x,
-        max_x=max_x,
-        matched_pair_sum=pair_sum,
-        square_sum=square_sum,
-        sum_ok=abs(sum_x - math.sqrt(n)) <= 10.0 * logn,
-        max_ok=max_x <= logn**2 / math.sqrt(n),
-        pair_ok=abs(pair_sum - 0.5) <= n ** (-1.0 / 3.0),
-        square_ok=abs(square_sum - 2.0) <= n ** (-1.0 / 3.0),
-    )
+    stats, ok = gpi_rows(x.values[None, :], x.reference)
+    return GpiReport(x.n, *(float(v) for v in stats[:, 0]), *(bool(f) for f in ok[:, 0]))
 
 
 def stability_product_log(x: PartnerUtilities) -> float:
@@ -155,14 +182,8 @@ def two_point_kernel_log(x: PartnerUtilities, y: PartnerUtilities) -> float | No
     if dec.is_empty():
         return stability_product_log(x)
     xv, yv = x.values, y.values
-    for cyc in dec.cycles:
-        signs = []
-        for v in cyc:
-            if yv[v] == xv[v]:
-                raise ValueError(f"difference vertex {v} has equal old/new utility")
-            signs.append(yv[v] < xv[v])
-        if any(signs[k] == signs[(k + 1) % len(cyc)] for k in range(len(cyc))):
-            return None
+    if not orient(m, m1, xv, yv).valid:
+        return None
     terms = []
     n = m.n
     for i in range(n):
@@ -182,10 +203,21 @@ def two_point_kernel_log(x: PartnerUtilities, y: PartnerUtilities) -> float | No
 
 
 def _proposal(n: int, proposal_rate: float | None) -> TruncatedExponential:
-    return TruncatedExponential(proposal_rate if proposal_rate else math.sqrt(n))
+    return TruncatedExponential(math.sqrt(n) if proposal_rate is None else proposal_rate)
 
 
-_DEGENERACY_FRACTION = 0.01
+def expected_count_log_weights(
+    n: int, count: int, gen: np.random.Generator, proposal_rate: float | None = None
+) -> np.ndarray:
+    """Importance log-weights of ``count`` proposal draws for the expected
+    stable-matching count: log (n-1)!! plus the log stability product of the
+    reference matching, minus the draw's log proposal density."""
+    prop = _proposal(n, proposal_rate)
+    partner = np.array(Matching.consecutive(n).partner)
+    log_df = double_factorial(n - 1).log_value
+    X = prop.sample(gen, (count, n))
+    # this left-to-right order is part of the output bytes
+    return log_df + stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1)
 
 
 def estimate_expected_X(
@@ -203,28 +235,13 @@ def estimate_expected_X(
     Log-weights fluctuate by O(1) around log E[X] under this proposal, so
     the estimator stays non-degenerate across the whole n grid.
     """
-    if n % 2 != 0 or n < 4:
-        raise ValueError(f"n must be an even integer >= 4, got {n}")
+    check_agent_count(n)
     if samples < 1000:
         raise ValueError("at least 1000 samples required")
-    prop = _proposal(n, proposal_rate)
-    partner = np.array(Matching.consecutive(n).partner)
-    log_df = double_factorial(n - 1).log_value
     gen = rng.generator()
-    logw = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
-        X = prop.sample(gen, (b, n))
-        lw = log_df + stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1)
-        logw[done : done + b] = lw
-        done += b
-    shift = float(np.max(logw))
-    w = np.exp(logw - shift)
-    mean = math.exp(shift) * float(w.mean())
-    stderr = math.exp(shift) * float(w.std(ddof=1)) / math.sqrt(samples)
-    ess = ess_from_log_weights(logw)
-    return Estimate(mean, stderr, samples, ess, degenerate=ess < _DEGENERACY_FRACTION * samples)
+    batches = batch_sizes(samples, batch_size)
+    logw = np.concatenate([expected_count_log_weights(n, b, gen, proposal_rate) for b in batches])
+    return Estimate.importance(logw)
 
 
 def _orientation_a_sides(dec) -> list[list[np.ndarray]]:
@@ -255,6 +272,8 @@ def estimate_conditional_two_point(
     """
     if m.n != m1.n:
         raise ValueError("matchings must cover the same agents")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     n = m.n
     dec = symmetric_difference(m, m1)
     if dec.is_empty():
@@ -281,13 +300,10 @@ def estimate_conditional_two_point(
     per_cycle = _orientation_a_sides(dec)
 
     gen = rng.generator()
-    logw = np.empty(samples)
-    log_r = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
+    logw, log_r = [], []
+    for b in batch_sizes(samples, batch_size):
         X = prop.sample(gen, (b, n))
-        logw[done : done + b] = stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1)
+        logw.append(stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1))
 
         base = np.zeros(b)
         for i, j in new_edges:
@@ -322,25 +338,13 @@ def estimate_conditional_two_point(
             orient_logs.append(lr)
         stacked = np.stack(orient_logs)
         mx = stacked.max(axis=0)
-        log_r[done : done + b] = mx + np.log(np.exp(stacked - mx).sum(axis=0))
-        done += b
+        log_r.append(mx + np.log(np.exp(stacked - mx).sum(axis=0)))
 
-    wshift = float(np.max(logw))
-    w = np.exp(logw - wshift)
-    wn = w / w.sum()
+    logw, log_r = np.concatenate(logw), np.concatenate(log_r)
     rshift = float(np.max(log_r))
-    r = np.exp(log_r - rshift)
-    mean_r = float(np.sum(wn * r))
-    stderr_r = float(math.sqrt(np.sum((wn * (r - mean_r)) ** 2)))
+    mean_r, stderr_r = self_normalized_mean(logw, np.exp(log_r - rshift))
     scale = math.exp(rshift - log_norm)
-    ess = ess_from_log_weights(logw)
-    return Estimate(
-        mean_r * scale,
-        stderr_r * scale,
-        samples,
-        ess,
-        degenerate=ess < _DEGENERACY_FRACTION * samples,
-    )
+    return Estimate.weighted(mean_r * scale, stderr_r * scale, logw)
 
 
 def _conditional_x_batch(

@@ -15,20 +15,21 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._numerics import ess_from_log_weights
+from ._numerics import batch_sizes, ess_from_log_weights, self_normalized_mean
 from .estimators import (
     Estimate,
     _conditional_x_batch,
     _fill_conditional_pairs,
-    _proposal,
+    expected_count_log_weights,
+    gpi_rows,
 )
-from .combinatorics import double_factorial
-from ._numerics import stability_log_rows
-from .instances import RngStream, UtilityMatrix, rank_from_utilities
+from .instances import (
+    RngStream, UtilityMatrix, check_agent_count, preference_rows, rank_from_utilities
+)
 from .matchings import Matching
 from .solvers import ENUM_CAP, enumerate_stable, irving_decide
 
@@ -75,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.proposal_rate is not None and not 0 < self.proposal_rate < math.inf:
+            raise ConfigError(f"proposal_rate must be positive and finite: {self.proposal_rate}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.chunk_size < 0:
@@ -155,8 +158,7 @@ def _random_pref_score(gen: np.random.Generator, n: int):
     comparison scores, so no rank matrix is ever built."""
     u = gen.random((n, n))
     np.fill_diagonal(u, 2.0)
-    pref = np.argsort(u, axis=1)[:, : n - 1]
-    return pref, u
+    return preference_rows(u), u
 
 
 def _scaling_chunk(args) -> int:
@@ -177,15 +179,7 @@ def _scaling_chunk(args) -> int:
 def _ex_chunk(args) -> np.ndarray:
     master_seed, n, chunk_id, count, rate = args
     gen = _chunk_stream(master_seed, "ex-scaling", n, chunk_id).generator()
-    prop = _proposal(n, rate)
-    partner = np.array(Matching.consecutive(n).partner)
-    log_df = double_factorial(n - 1).log_value
-    X = prop.sample(gen, (count, n))
-    return log_df + stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1)
-
-
-def _chunks(total: int, size: int) -> list[int]:
-    return [min(size, total - lo) for lo in range(0, total, size)]
+    return expected_count_log_weights(n, count, gen, rate)
 
 
 def _run_chunks(worker, arglist, workers: int):
@@ -203,7 +197,7 @@ def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
     rows = []
     for n in config.n_grid:
         t0 = time.perf_counter()
-        sizes = _chunks(config.replicates, chunk_size)
+        sizes = batch_sizes(config.replicates, chunk_size)
         args = [
             (config.master_seed, n, ci, cnt) for ci, cnt in enumerate(sizes)
         ]
@@ -245,25 +239,20 @@ def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
     rows = []
     for n in config.n_grid:
         t0 = time.perf_counter()
-        sizes = _chunks(config.samples, chunk_size)
+        sizes = batch_sizes(config.samples, chunk_size)
         args = [
             (config.master_seed, n, ci, cnt, config.proposal_rate)
             for ci, cnt in enumerate(sizes)
         ]
-        logw = np.concatenate(_run_chunks(_ex_chunk, args, config.workers))
-        shift = float(np.max(logw))
-        w = np.exp(logw - shift)
-        mean = math.exp(shift) * float(w.mean())
-        stderr = math.exp(shift) * float(w.std(ddof=1)) / math.sqrt(len(logw))
-        ess = ess_from_log_weights(logw)
+        est = Estimate.importance(np.concatenate(_run_chunks(_ex_chunk, args, config.workers)))
         rows.append(
             ExpectedCountRow(
                 n=n,
                 samples=config.samples,
-                estimate=mean,
-                stderr=stderr,
-                ess=ess,
-                degenerate=ess < 0.01 * config.samples,
+                estimate=est.mean,
+                stderr=est.stderr,
+                ess=est.ess,
+                degenerate=est.degenerate,
                 wall_time=time.perf_counter() - t0,
             )
         )
@@ -389,27 +378,15 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
     gen = _chunk_stream(master_seed, "census", n, chunk_id).generator()
     m = Matching.consecutive(n)
     X, logw = _conditional_x_batch(m, count, gen, rate)
-    logn = math.log(n)
-    pair_idx = np.arange(0, n, 2)
+    gpi = gpi_rows(X, m)[1].all(axis=0)
     xcirc = np.zeros((count, nu_cap - 1), dtype=np.int32)
     d1 = np.zeros(count, dtype=bool)
     d3 = np.zeros(count, dtype=bool)
     disjoint_pairs = np.zeros(count, dtype=np.int64)
     failing_pairs = np.zeros(count, dtype=np.int64)
     full_X = np.full(count, -1, dtype=np.int64)
-    gpi = np.zeros(count, dtype=bool)
     for k in range(count):
-        xk = X[k]
-        sum_x = float(xk.sum())
-        pair_sum = float((xk[pair_idx] * xk[pair_idx + 1]).sum())
-        sq = float((xk * xk).sum())
-        gpi[k] = (
-            abs(sum_x - math.sqrt(n)) <= 10.0 * logn
-            and float(xk.max()) <= logn**2 / math.sqrt(n)
-            and abs(pair_sum - 0.5) <= n ** (-1.0 / 3.0)
-            and abs(sq - 2.0) <= n ** (-1.0 / 3.0)
-        )
-        U = _fill_conditional_pairs(m, xk, gen)
+        U = _fill_conditional_pairs(m, X[k], gen)
         found = stable_single_cycle_neighbors(U, m, nu_cap)
         for nu, _ in found:
             xcirc[k, nu - 2] += 1
@@ -450,7 +427,7 @@ def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRo
     rows = []
     for n in config.n_grid:
         t0 = time.perf_counter()
-        sizes = _chunks(config.samples, chunk_size)
+        sizes = batch_sizes(config.samples, chunk_size)
         args = [
             (
                 config.master_seed,
@@ -464,28 +441,17 @@ def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRo
             for ci, cnt in enumerate(sizes)
         ]
         parts = _run_chunks(_census_chunk, args, config.workers)
-        logw = np.concatenate([p["logw"] for p in parts])
-        xcirc = np.concatenate([p["xcirc"] for p in parts])
-        d1 = np.concatenate([p["d1"] for p in parts])
-        d3 = np.concatenate([p["d3"] for p in parts])
-        pairs = np.concatenate([p["disjoint_pairs"] for p in parts])
-        fails = np.concatenate([p["failing_pairs"] for p in parts])
-        gpi = np.concatenate([p["gpi"] for p in parts])
-        full_X = np.concatenate([p["full_X"] for p in parts])
-        w = np.exp(logw - float(np.max(logw)))
-        wn = w / w.sum()
+        c = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+        logw = c["logw"]
 
-        def wmean(values: np.ndarray) -> tuple[float, float]:
-            mu = float(np.sum(wn * values))
-            return mu, float(math.sqrt(np.sum((wn * (values - mu)) ** 2)))
+        def wmean(values: np.ndarray) -> float:
+            return self_normalized_mean(logw, values)[0]
 
-        by_nu = {
-            nu: float(np.sum(wn * xcirc[:, nu - 2])) for nu in range(2, config.nu_cap + 1)
-        }
-        circ_le, circ_se = wmean(xcirc.sum(axis=1))
+        circ_le, circ_se = self_normalized_mean(logw, c["xcirc"].sum(axis=1))
         mean_X, stderr_X = (
-            wmean(full_X.astype(float)) if n <= config.enum_cap else (None, None)
+            self_normalized_mean(logw, c["full_X"]) if n <= config.enum_cap else (None, None)
         )
+        pairs = wmean(c["disjoint_pairs"])
         rows.append(
             ConditionalCensusRow(
                 n=n,
@@ -495,15 +461,15 @@ def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRo
                 stderr_X=stderr_X,
                 mean_X_circ_le=circ_le,
                 stderr_X_circ_le=circ_se,
-                mean_X_circ_by_nu=by_nu,
-                d1_rate=float(np.sum(wn * d1)),
-                d3_rate=float(np.sum(wn * d3)),
+                mean_X_circ_by_nu={
+                    nu: wmean(c["xcirc"][:, nu - 2]) for nu in range(2, config.nu_cap + 1)
+                },
+                d1_rate=wmean(c["d1"]),
+                d3_rate=wmean(c["d3"]),
                 combine_fail_per_pair=(
-                    float(np.sum(wn * fails) / np.sum(wn * pairs))
-                    if np.sum(wn * pairs) > 0
-                    else float("nan")
+                    wmean(c["failing_pairs"]) / pairs if pairs > 0 else float("nan")
                 ),
-                gpi_rate=float(np.sum(wn * gpi)),
+                gpi_rate=wmean(c["gpi"]),
                 wall_time=time.perf_counter() - t0,
             )
         )
@@ -542,40 +508,19 @@ def gpi_weighted_frequency(
 ) -> Estimate:
     """Weighted frequency of the quasirandomness event over partner-utility
     vectors conditioned on the reference matching being stable."""
-    if n % 2 != 0 or n < 4:
-        raise ConfigError(f"n must be an even integer >= 4, got {n}")
+    check_agent_count(n)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     m = Matching.consecutive(n)
     gen = rng.generator()
-    logn = math.log(n)
-    tol = n ** (-1.0 / 3.0)
-    pair_idx = np.arange(0, n, 2)
-    logw_all = []
-    flags_all = []
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
-        X, logw = _conditional_x_batch(m, b, gen, proposal_rate)
-        sum_x = X.sum(axis=1)
-        max_x = X.max(axis=1)
-        pair_sum = (X[:, pair_idx] * X[:, pair_idx + 1]).sum(axis=1)
-        sq = (X * X).sum(axis=1)
-        flags = (
-            (np.abs(sum_x - math.sqrt(n)) <= 10.0 * logn)
-            & (max_x <= logn**2 / math.sqrt(n))
-            & (np.abs(pair_sum - 0.5) <= tol)
-            & (np.abs(sq - 2.0) <= tol)
-        )
-        logw_all.append(logw)
-        flags_all.append(flags)
-        done += b
-    logw = np.concatenate(logw_all)
-    flags = np.concatenate(flags_all).astype(float)
-    w = np.exp(logw - float(np.max(logw)))
-    wn = w / w.sum()
-    mean = float(np.sum(wn * flags))
-    stderr = float(math.sqrt(np.sum((wn * (flags - mean)) ** 2)))
-    ess = ess_from_log_weights(logw)
-    return Estimate(mean, stderr, samples, ess, degenerate=ess < 0.01 * samples)
+    logw, flags = [], []
+    for b in batch_sizes(samples, batch_size):
+        X, lw = _conditional_x_batch(m, b, gen, proposal_rate)
+        logw.append(lw)
+        flags.append(gpi_rows(X, m)[1].all(axis=0))
+    logw = np.concatenate(logw)
+    mean, stderr = self_normalized_mean(logw, np.concatenate(flags))
+    return Estimate.weighted(mean, stderr, logw)
 
 
 # ---------------------------------------------------------------------------

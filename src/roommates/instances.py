@@ -45,20 +45,17 @@ class RngStream:
         seq = SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
         return Generator(Philox(seq))
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Derive a child stream by combining ids (stable hash mixing)."""
-        mixed = (self.stream_id * 0x9E3779B97F4A7C15 + stream_id) % (1 << 63)
-        return RngStream(self.master_seed, mixed)
 
-
-def _check_n(n: int) -> None:
+def check_agent_count(n: int) -> None:
+    """Raise InvalidInstanceError unless ``n`` is an even integer >= 4."""
     if n % 2 != 0 or n < 4:
         raise InvalidInstanceError(f"agent count must be an even integer >= 4, got {n}")
 
 
 @dataclass(frozen=True)
 class UtilityMatrix:
-    """Off-diagonal array of utilities in [0,1]; diagonal entries are NaN.
+    """Off-diagonal array of utilities in [0,1]; diagonal entries are NaN,
+    so the diagonal sorts last in every row.
 
     Row ``i`` restricted to a matching's partner column carries the vector of
     matched-partner utilities used throughout the estimators.
@@ -68,21 +65,19 @@ class UtilityMatrix:
     u: np.ndarray
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_agent_count(self.n)
         if self.u.shape != (self.n, self.n):
             raise InvalidInstanceError(f"utility array must be {self.n}x{self.n}")
-        off = ~np.eye(self.n, dtype=bool)
-        vals = self.u[off]
-        if np.any(vals < 0.0) or np.any(vals > 1.0) or np.any(np.isnan(vals)):
+        if not np.all(np.isnan(np.diag(self.u))):
+            raise InvalidInstanceError("diagonal utilities must be NaN")
+        # the NaN diagonal sorts last; a NaN elsewhere stays in the slice
+        srt = np.sort(self.u, axis=1)[:, : self.n - 1]
+        if not np.all((srt >= 0.0) & (srt <= 1.0)):
             raise InvalidInstanceError("off-diagonal utilities must lie in [0,1]")
-        for i in range(self.n):
-            row = np.delete(self.u[i], i)
-            if np.unique(row).size != row.size:
-                raise TieError(f"tied utilities in row of agent {i}")
+        tied = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if tied.any():
+            raise TieError(f"tied utilities in row of agent {int(np.argmax(tied))}")
         self.u.setflags(write=False)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.u[i]
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class PreferenceProfile:
     _position: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_agent_count(self.n)
         if len(self.ranks) != self.n:
             raise InvalidInstanceError("one ranking row required per agent")
         pos = np.full((self.n, self.n), self.n, dtype=np.int32)
@@ -130,26 +125,23 @@ class PreferenceProfile:
 
 def sample_utilities(n: int, rng: RngStream | Generator) -> UtilityMatrix:
     """Draw all n(n-1) off-diagonal utilities i.i.d. uniform on [0,1]."""
-    _check_n(n)
+    check_agent_count(n)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     u = gen.random((n, n))
     np.fill_diagonal(u, np.nan)
     return UtilityMatrix(n, u)
 
 
+def preference_rows(u: np.ndarray) -> np.ndarray:
+    """(n, n-1) preference lists of an (n, n) utility array: each row's
+    agents in ascending utility.  The diagonal must sort last (NaN, or any
+    value above 1), so slicing off the last column drops the agent itself."""
+    return np.argsort(u, axis=1)[:, : u.shape[0] - 1]
+
+
 def rank_from_utilities(um: UtilityMatrix) -> PreferenceProfile:
     """Convert utilities to the profile ranking each row ascending."""
-    n = um.n
-    rows = []
-    for i in range(n):
-        others = np.array([a for a in range(n) if a != i])
-        vals = um.u[i, others]
-        order = np.argsort(vals, kind="stable")
-        svals = vals[order]
-        if np.any(svals[1:] == svals[:-1]):
-            raise TieError(f"tied utilities in row of agent {i}")
-        rows.append(tuple(int(a) for a in others[order]))
-    return PreferenceProfile(n, tuple(rows))
+    return PreferenceProfile(um.n, tuple(map(tuple, preference_rows(um.u).tolist())))
 
 
 def sample_profile(n: int, rng: RngStream | Generator) -> PreferenceProfile:

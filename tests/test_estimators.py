@@ -330,3 +330,33 @@ def test_gpi_holds_for_typical_conditional_draw():
     reports = [check_gpi(PartnerUtilities(row, m)) for row in X]
     assert all(r.sum_ok and r.max_ok and r.pair_ok for r in reports)
     assert any(r.holds for r in reports)
+
+
+@pytest.mark.filterwarnings("ignore:difference size")
+def test_estimator_outputs_pinned_bitwise():
+    # repr of (mean, stderr, ess) at fixed seeds; any change to the draws or
+    # to the order of a floating-point reduction shows up in the last digits
+    from roommates.experiments import gpi_weighted_frequency, reference_with_cycles
+
+    def pin(est):
+        return repr(est.mean), repr(est.stderr), repr(est.ess)
+
+    assert pin(estimate_expected_X(100, 2000, RngStream(1), batch_size=512)) == (
+        "1.6500296429958154", "0.015625725431150643", "1695.9632294689795"
+    )
+    assert pin(estimate_expected_X(100, 2000, RngStream(2), batch_size=512)) == (
+        "1.644578388335562", "0.0156528812249743", "1693.3524037720997"
+    )
+    m, m1 = reference_with_cycles(40, [4])
+    assert pin(estimate_conditional_two_point(m, m1, 600, RngStream(3), batch_size=256)) == (
+        "1.031170019420691", "0.05715135610155469", "487.0608829194992"
+    )
+    assert pin(estimate_conditional_two_point(m, m1, 600, RngStream(4), batch_size=256)) == (
+        "1.0652820002033963", "0.06273492870272211", "499.70819048032877"
+    )
+    assert pin(gpi_weighted_frequency(100, 1500, RngStream(5), batch_size=512)) == (
+        "0.4771687636733192", "0.014159810125510968", "1257.5442003334504"
+    )
+    assert pin(gpi_weighted_frequency(100, 1500, RngStream(6), batch_size=512)) == (
+        "0.4437404634604851", "0.014127357720991728", "1266.0157360483815"
+    )

@@ -272,3 +272,37 @@ def test_cli_config_file_with_flag_override(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_grid": [4], "bogus": 1}))
     assert _cli("scaling", "--config", str(bad)).returncode == 2
+
+
+def test_bad_proposal_rate_rejected(tmp_path):
+    # a rate of 0 used to fall back silently to the default sqrt(n), and an
+    # infinite one wrote a CSV of NaN estimates
+    for rate in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="ex-scaling", n_grid=(10,), proposal_rate=rate)
+    with pytest.raises(ValueError, match="rate"):
+        gpi_weighted_frequency(10, 100, RngStream(1), proposal_rate=0.0)
+    out = tmp_path / "ex.csv"
+    run = _cli(
+        "ex-scaling", "--n-grid", "10", "--samples", "3000", "--seed", "1",
+        "--proposal-rate", "0", "--output", str(out),
+    )
+    assert run.returncode == 2 and "proposal_rate" in run.stderr
+    assert not out.exists()
+    for rate in ("0", "nan"):
+        run = _cli("estimate", "ex", "--n", "10", "--samples", "2000", "--proposal-rate", rate)
+        assert run.returncode == 2 and "rate" in run.stderr
+
+
+def test_zero_samples_rejected_up_front():
+    from roommates.estimators import estimate_conditional_two_point
+
+    m, m1 = reference_with_cycles(40, [4])
+    with pytest.raises(ValueError, match="samples"):
+        estimate_conditional_two_point(m, m1, 0, RngStream(1))
+    with pytest.raises(ValueError, match="samples"):
+        gpi_weighted_frequency(10, 0, RngStream(1))
+    run = _cli("estimate", "gpi", "--n", "10", "--samples", "0")
+    assert run.returncode == 2 and "samples" in run.stderr
+    run = _cli("estimate", "two-point", "--n", "40", "--cycle", "4", "--samples", "0")
+    assert run.returncode == 2 and "samples" in run.stderr

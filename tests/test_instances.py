@@ -187,3 +187,16 @@ def test_profile_validation():
         PreferenceProfile(4, ((1, 2, 2), (2, 0, 3), (0, 1, 3), (0, 1, 2)))
     with pytest.raises(ValueError):
         PreferenceProfile(4, ((1, 2, 3),) * 4).rank_of(0, 0)
+
+
+def test_utility_matrix_rejects_bad_diagonal_and_nan():
+    # ranking slices off the last sorted column, so the diagonal must be NaN
+    # and no off-diagonal entry may be
+    u = sample_utilities(6, RngStream(3)).u.copy()
+    np.fill_diagonal(u, 0.0)
+    with pytest.raises(InvalidInstanceError):
+        UtilityMatrix(6, u)
+    u = sample_utilities(6, RngStream(3)).u.copy()
+    u[2, 4] = np.nan
+    with pytest.raises(InvalidInstanceError):
+        UtilityMatrix(6, u)
