@@ -20,6 +20,7 @@ from .estimators import (
     estimate_expected_X,
 )
 from .experiments import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     gpi_weighted_frequency,
@@ -67,7 +68,8 @@ def _experiment_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
             values[key] = val
     if "n_grid" not in values:
         raise ConfigError("n_grid is required (flag --n-grid or config file)")
-    values["n_grid"] = tuple(values["n_grid"])
+    if isinstance(values["n_grid"], list):
+        values["n_grid"] = tuple(values["n_grid"])
     values.setdefault("output", f"{kind}.csv")
     try:
         return ExperimentConfig(kind=kind, **values)
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for kind in ("scaling", "census", "ex-scaling"):
+    for kind in KINDS:
         sp = sub.add_parser(kind, help=f"run the {kind} experiment")
         _add_experiment_flags(sp)
 
@@ -246,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("scaling", "census", "ex-scaling"):
+        if args.command in KINDS:
             config = _experiment_config(args.command, args)
             run_experiment(config)
             return 0

@@ -15,7 +15,9 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,25 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+class Kind(NamedTuple):
+    stream_id: int  # top bits of its chunks' seed-stream keys
+    chunk: int  # default work items per chunk
+    run: str  # its run function's name, resolved at call time so a rebinding is seen
+
+
+KINDS = {
+    "scaling": Kind(1, 256, "run_scaling"),
+    "census": Kind(2, 128, "run_conditional_census"),
+    "ex-scaling": Kind(3, 8192, "run_ex_scaling"),
+}
+# Field widths of the stream key in _chunk_stream; ExperimentConfig keeps n
+# and the chunk index inside them, so distinct chunks never share a stream.
+_N_LIMIT = 1 << 20
+_CHUNK_LIMIT = 1 << 32
+# Annotations whose config values must have exactly that type (no bool for int).
+_EXACT_TYPES = {"int": int, "str": str}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything an experiment run depends on.
@@ -47,7 +68,10 @@ class ExperimentConfig:
     ``workers`` parallelizes chunk execution only; ``chunk_size`` of 0
     picks a per-experiment default.  ``enum_cap`` bounds the agent count up
     to which the census materializes the full stable-matching count; it
-    cannot exceed the enumeration cap of ``enumerate_stable``.
+    cannot exceed the enumeration cap of ``enumerate_stable``.  Every field
+    must have its annotated type exactly (a bool or numpy integer is not an
+    int; ``proposal_rate`` may be any int or float), so that a bad value
+    fails here rather than mid-run or in ``config_hash``.
     """
 
     kind: str
@@ -63,27 +87,37 @@ class ExperimentConfig:
     enum_cap: int = 12
 
     def __post_init__(self):
-        if self.kind not in ("scaling", "census", "ex-scaling"):
+        for f in fields(self):  # f.type is a string: annotations are postponed
+            value = getattr(self, f.name)
+            if f.type in _EXACT_TYPES and type(value) is not _EXACT_TYPES[f.type]:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not self.n_grid:
-            raise ConfigError("n_grid must be nonempty")
+        if type(self.n_grid) is not tuple or not self.n_grid:
+            raise ConfigError(f"n_grid must be a nonempty tuple, got {self.n_grid!r}")
         for n in self.n_grid:
-            if n % 2 != 0 or n < 4:
-                raise ConfigError(f"n values must be even integers >= 4, got {n}")
+            if type(n) is not int or n % 2 != 0 or n < 4:
+                raise ConfigError(f"n_grid values must be even ints >= 4, got {n!r}")
             if n >= _N_LIMIT:
                 raise ConfigError(f"n values must be < 2**20 (seed-stream key), got {n}")
+            if self.kind == "census" and self.nu_cap > n // 2:
+                raise ConfigError(f"nu_cap {self.nu_cap} exceeds n/2 for n={n}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.proposal_rate is not None and not 0 < self.proposal_rate < math.inf:
-            raise ConfigError(f"proposal_rate must be positive and finite: {self.proposal_rate}")
+        rate = self.proposal_rate
+        if rate is not None and (
+            isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf
+        ):
+            raise ConfigError(f"proposal_rate must be positive and finite: {rate!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.chunk_size < 0:
             raise ConfigError("chunk_size must be >= 0")
-        work = self.replicates if self.kind == "scaling" else self.samples
-        chunks = -(-work // self.chunk_len())
+        chunks = -(-self.work() // self.chunk_len())
         if chunks >= _CHUNK_LIMIT:
             raise ConfigError(f"{chunks} chunks per n exceed the seed-stream key (< 2**32)")
         if self.nu_cap < 2:
@@ -92,13 +126,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"enum_cap {self.enum_cap} exceeds the enumeration cap of {ENUM_CAP}"
             )
-        for n in self.n_grid:
-            if self.kind == "census" and self.nu_cap > n // 2:
-                raise ConfigError(f"nu_cap {self.nu_cap} exceeds n/2 for n={n}")
+
+    def work(self) -> int:
+        """Work items per n: replicates for scaling, samples otherwise."""
+        return self.replicates if self.kind == "scaling" else self.samples
 
     def chunk_len(self) -> int:
         """Work items per chunk: ``chunk_size`` or the kind's default."""
-        return self.chunk_size or _DEFAULT_CHUNK[self.kind]
+        return self.chunk_size or KINDS[self.kind].chunk
 
     def config_hash(self) -> str:
         """Hash of the data-determining fields only: worker count and output
@@ -139,16 +174,8 @@ class ConditionalCensusRow:
     wall_time: float
 
 
-_KIND_IDS = {"scaling": 1, "census": 2, "ex-scaling": 3}
-_DEFAULT_CHUNK = {"scaling": 256, "census": 128, "ex-scaling": 8192}
-# Field widths of the stream key below; ExperimentConfig keeps n and the
-# chunk index inside them, so distinct chunks never share a stream.
-_N_LIMIT = 1 << 20
-_CHUNK_LIMIT = 1 << 32
-
-
 def _chunk_stream(master_seed: int, kind: str, n: int, chunk: int) -> RngStream:
-    sid = (_KIND_IDS[kind] << 52) | (n << 32) | chunk
+    sid = (KINDS[kind].stream_id << 52) | (n << 32) | chunk
     return RngStream(master_seed, sid)
 
 
@@ -189,34 +216,41 @@ def _run_chunks(worker, arglist, workers: int):
         return list(pool.map(worker, arglist))
 
 
-def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
-    """Existence frequency of a stable matching across the n grid."""
-    if config.kind != "scaling":
-        raise ConfigError("config kind must be 'scaling'")
-    chunk_size = config.chunk_len()
+def _run_grid(config: ExperimentConfig, kind: str, chunk, extra: tuple, row) -> list:
+    """The loop every experiment shares.  For each n of the grid, the work
+    is cut into chunks, ``chunk`` runs on each chunk's argument tuple
+    ``(master_seed, n, chunk index, count, *extra)``, and ``row(n, parts)``
+    reduces the results, in chunk order, to the row's constructor with every
+    field bound but ``wall_time``, which is read after that reduction."""
+    if config.kind != kind:
+        raise ConfigError(f"config kind must be {kind!r}")
     rows = []
     for n in config.n_grid:
         t0 = time.perf_counter()
-        sizes = batch_sizes(config.replicates, chunk_size)
-        args = [
-            (config.master_seed, n, ci, cnt) for ci, cnt in enumerate(sizes)
-        ]
-        counts = _run_chunks(_scaling_chunk, args, config.workers)
+        sizes = batch_sizes(config.work(), config.chunk_len())
+        args = [(config.master_seed, n, ci, cnt, *extra) for ci, cnt in enumerate(sizes)]
+        make_row = row(n, _run_chunks(chunk, args, config.workers))
+        rows.append(make_row(wall_time=time.perf_counter() - t0))
+    return rows
+
+
+def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
+    """Existence frequency of a stable matching across the n grid."""
+
+    def row(n, counts):
         exists = int(sum(counts))
         p = exists / config.replicates
-        stderr = math.sqrt(p * (1.0 - p) / config.replicates)
-        rows.append(
-            ScalingRow(
-                n=n,
-                replicates=config.replicates,
-                count_exists=exists,
-                p_hat=p,
-                stderr=stderr,
-                mertens_prediction=MERTENS_COEFF * n ** -0.25,
-                wall_time=time.perf_counter() - t0,
-            )
+        return partial(
+            ScalingRow,
+            n=n,
+            replicates=config.replicates,
+            count_exists=exists,
+            p_hat=p,
+            stderr=math.sqrt(p * (1.0 - p) / config.replicates),
+            mertens_prediction=MERTENS_COEFF * n ** -0.25,
         )
-    return rows
+
+    return _run_grid(config, "scaling", _scaling_chunk, (), row)
 
 
 @dataclass(frozen=True)
@@ -233,30 +267,20 @@ class ExpectedCountRow:
 def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
     """Importance-sampling estimate of the expected stable-matching count
     across the n grid."""
-    if config.kind != "ex-scaling":
-        raise ConfigError("config kind must be 'ex-scaling'")
-    chunk_size = config.chunk_len()
-    rows = []
-    for n in config.n_grid:
-        t0 = time.perf_counter()
-        sizes = batch_sizes(config.samples, chunk_size)
-        args = [
-            (config.master_seed, n, ci, cnt, config.proposal_rate)
-            for ci, cnt in enumerate(sizes)
-        ]
-        est = Estimate.importance(np.concatenate(_run_chunks(_ex_chunk, args, config.workers)))
-        rows.append(
-            ExpectedCountRow(
-                n=n,
-                samples=config.samples,
-                estimate=est.mean,
-                stderr=est.stderr,
-                ess=est.ess,
-                degenerate=est.degenerate,
-                wall_time=time.perf_counter() - t0,
-            )
+
+    def row(n, parts):
+        est = Estimate.importance(np.concatenate(parts))
+        return partial(
+            ExpectedCountRow,
+            n=n,
+            samples=config.samples,
+            estimate=est.mean,
+            stderr=est.stderr,
+            ess=est.ess,
+            degenerate=est.degenerate,
         )
-    return rows
+
+    return _run_grid(config, "ex-scaling", _ex_chunk, (config.proposal_rate,), row)
 
 
 # ---------------------------------------------------------------------------
@@ -421,26 +445,8 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
 def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRow]:
     """Weighted census of stable single-cycle neighbors under instances
     conditioned on the reference matching being stable."""
-    if config.kind != "census":
-        raise ConfigError("config kind must be 'census'")
-    chunk_size = config.chunk_len()
-    rows = []
-    for n in config.n_grid:
-        t0 = time.perf_counter()
-        sizes = batch_sizes(config.samples, chunk_size)
-        args = [
-            (
-                config.master_seed,
-                n,
-                ci,
-                cnt,
-                config.proposal_rate,
-                config.nu_cap,
-                config.enum_cap,
-            )
-            for ci, cnt in enumerate(sizes)
-        ]
-        parts = _run_chunks(_census_chunk, args, config.workers)
+
+    def row(n, parts):
         c = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
         logw = c["logw"]
 
@@ -452,28 +458,28 @@ def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRo
             self_normalized_mean(logw, c["full_X"]) if n <= config.enum_cap else (None, None)
         )
         pairs = wmean(c["disjoint_pairs"])
-        rows.append(
-            ConditionalCensusRow(
-                n=n,
-                samples=config.samples,
-                ess=ess_from_log_weights(logw),
-                mean_X=mean_X,
-                stderr_X=stderr_X,
-                mean_X_circ_le=circ_le,
-                stderr_X_circ_le=circ_se,
-                mean_X_circ_by_nu={
-                    nu: wmean(c["xcirc"][:, nu - 2]) for nu in range(2, config.nu_cap + 1)
-                },
-                d1_rate=wmean(c["d1"]),
-                d3_rate=wmean(c["d3"]),
-                combine_fail_per_pair=(
-                    wmean(c["failing_pairs"]) / pairs if pairs > 0 else float("nan")
-                ),
-                gpi_rate=wmean(c["gpi"]),
-                wall_time=time.perf_counter() - t0,
-            )
+        return partial(
+            ConditionalCensusRow,
+            n=n,
+            samples=config.samples,
+            ess=ess_from_log_weights(logw),
+            mean_X=mean_X,
+            stderr_X=stderr_X,
+            mean_X_circ_le=circ_le,
+            stderr_X_circ_le=circ_se,
+            mean_X_circ_by_nu={
+                nu: wmean(c["xcirc"][:, nu - 2]) for nu in range(2, config.nu_cap + 1)
+            },
+            d1_rate=wmean(c["d1"]),
+            d3_rate=wmean(c["d3"]),
+            combine_fail_per_pair=(
+                wmean(c["failing_pairs"]) / pairs if pairs > 0 else float("nan")
+            ),
+            gpi_rate=wmean(c["gpi"]),
         )
-    return rows
+
+    extra = (config.proposal_rate, config.nu_cap, config.enum_cap)
+    return _run_grid(config, "census", _census_chunk, extra, row)
 
 
 def reference_with_cycles(n: int, lengths: list[int]) -> tuple[Matching, Matching]:
@@ -537,47 +543,30 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _scaling_table(rows: list[ScalingRow]):
-    cols = ["n", "replicates", "count_exists", "p_hat", "stderr", "mertens_prediction"]
-    data = [
-        [r.n, r.replicates, r.count_exists, r.p_hat, r.stderr, r.mertens_prediction]
-        for r in rows
-    ]
-    return cols, data
+# CSV column names of the row fields whose names differ from them.
+_COLUMNS = {"mean_X_circ_le": "xcirc_le", "stderr_X_circ_le": "xcirc_le_stderr"}
 
 
-def _ex_table(rows: list[ExpectedCountRow]):
-    cols = ["n", "samples", "estimate", "stderr", "ess", "degenerate"]
-    data = [[r.n, r.samples, r.estimate, r.stderr, r.ess, r.degenerate] for r in rows]
-    return cols, data
-
-
-def _census_table(rows: list[ConditionalCensusRow], nu_cap: int):
-    cols = ["n", "samples", "ess", "mean_X", "stderr_X", "xcirc_le", "xcirc_le_stderr"]
-    cols += [f"xcirc_{nu}" for nu in range(2, nu_cap + 1)]
-    cols += ["d1_rate", "d3_rate", "combine_fail_per_pair", "gpi_rate"]
-    data = []
-    for r in rows:
-        row = [r.n, r.samples, r.ess, r.mean_X, r.stderr_X, r.mean_X_circ_le, r.stderr_X_circ_le]
-        row += [r.mean_X_circ_by_nu[nu] for nu in range(2, nu_cap + 1)]
-        row += [r.d1_rate, r.d3_rate, r.combine_fail_per_pair, r.gpi_rate]
-        data.append(row)
-    return cols, data
+def _csv_cells(row) -> dict:
+    """A row's CSV cells by column, in field order: ``wall_time`` goes to the
+    sidecar only, and the per-nu dict spreads into ``xcirc_<nu>`` columns."""
+    cells = {}
+    for f in fields(row):
+        value = getattr(row, f.name)
+        if isinstance(value, dict):
+            cells.update((f"xcirc_{nu}", v) for nu, v in value.items())
+        elif f.name != "wall_time":
+            cells[_COLUMNS.get(f.name, f.name)] = value
+    return cells
 
 
 def write_experiment(config: ExperimentConfig, rows, csv_path: str) -> None:
     """Write the data CSV (deterministic) and its JSON sidecar (config echo,
     seed, versions, wall time)."""
-    if config.kind == "scaling":
-        cols, data = _scaling_table(rows)
-    elif config.kind == "ex-scaling":
-        cols, data = _ex_table(rows)
-    else:
-        cols, data = _census_table(rows, config.nu_cap)
-    lines = [f"# kind={config.kind} config_hash={config.config_hash()} schema=1"]
-    lines.append(",".join(cols))
-    for row in data:
-        lines.append(",".join(_fmt(v) for v in row))
+    table = [_csv_cells(r) for r in rows]
+    header = f"# kind={config.kind} config_hash={config.config_hash()} schema=1"
+    lines = [header, ",".join(table[0])]
+    lines += [",".join(_fmt(v) for v in cells.values()) for cells in table]
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     import roommates
@@ -601,11 +590,6 @@ def write_experiment(config: ExperimentConfig, rows, csv_path: str) -> None:
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Dispatch on config.kind, write outputs, return the rows."""
-    if config.kind == "scaling":
-        rows = run_scaling(config)
-    elif config.kind == "ex-scaling":
-        rows = run_ex_scaling(config)
-    else:
-        rows = run_conditional_census(config)
+    rows = globals()[KINDS[config.kind].run](config)
     write_experiment(config, rows, config.output)
     return rows

@@ -23,13 +23,7 @@ def objective(alpha: float, gamma: float, s: float) -> float:
         raise ValueError("alpha must lie in [0, 1/4]")
     if gamma < 0.0 or s < 0.0:
         raise ValueError("gamma and s must be nonnegative")
-    c = -math.expm1(-s)  # 1 - e^(-s)
-    return min(
-        gamma * _LOG2,
-        1.0 - 4.0 * alpha,
-        alpha * c - s * gamma,
-        1.0 / 3.0 - alpha * c - s * gamma,
-    )
+    return min(_terms(alpha, gamma, s))
 
 
 def lambert_w_branch_minus1(z: float) -> float:
@@ -80,7 +74,7 @@ class ExponentSolution:
 
 
 def _terms(alpha: float, gamma: float, s: float) -> tuple[float, float, float, float]:
-    c = -math.expm1(-s)
+    c = -math.expm1(-s)  # 1 - e^(-s)
     return (
         gamma * _LOG2,
         1.0 - 4.0 * alpha,
@@ -107,17 +101,8 @@ def tstar_closed_form() -> ExponentSolution:
 
 
 def _objective_slice(alphas: np.ndarray, gammas: np.ndarray, s: float) -> np.ndarray:
-    c = -math.expm1(-s)
-    ag = alphas[:, None]
-    gg = gammas[None, :]
-    return np.minimum.reduce(
-        [
-            gg * _LOG2 + 0.0 * ag,
-            1.0 - 4.0 * ag + 0.0 * gg,
-            ag * c - s * gg,
-            1.0 / 3.0 - ag * c - s * gg,
-        ]
-    )
+    terms = _terms(alphas[:, None], gammas[None, :], s)
+    return np.minimum.reduce(np.broadcast_arrays(*terms))
 
 
 def tstar_grid_search(resolution: float = 1e-4) -> ExponentSolution:
@@ -127,7 +112,10 @@ def tstar_grid_search(resolution: float = 1e-4) -> ExponentSolution:
 
     Each zoom restricts to the bounding box of all grid points within a
     Lipschitz margin of the incumbent, so the flat ridge of the objective
-    in s cannot strand the refinement away from the optimum.
+    in s cannot strand the refinement away from the optimum.  Only each
+    slice's row and column maxima are kept: a row or column holds a point
+    above the margin exactly when its maximum does, and keeping the slices
+    would hold the level's whole grid in memory.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -139,32 +127,22 @@ def tstar_grid_search(resolution: float = 1e-4) -> ExponentSolution:
         gammas = np.arange(box[1][0], box[1][1] + step / 2.0, step)
         svals = np.arange(box[2][0], box[2][1] + step / 2.0, step)
         best_val = -math.inf
-        slices = []
+        alpha_max, gamma_max = [], []
         for s in svals:
             vals = _objective_slice(alphas, gammas, s)
-            slices.append(vals)
+            alpha_max.append(vals.max(axis=1))
+            gamma_max.append(vals.max(axis=0))
             k = int(np.argmax(vals))
             if vals.flat[k] > best_val:
                 best_val = float(vals.flat[k])
                 ai, gi = divmod(k, vals.shape[1])
                 best_pt = (float(alphas[ai]), float(gammas[gi]), float(s))
         thresh = best_val - 4.0 * step
-        lo = [math.inf] * 3
-        hi = [-math.inf] * 3
-        for s, vals in zip(svals, slices):
-            mask = vals >= thresh
-            if mask.any():
-                ai, gi = np.nonzero(mask)
-                lo[0] = min(lo[0], alphas[ai.min()])
-                hi[0] = max(hi[0], alphas[ai.max()])
-                lo[1] = min(lo[1], gammas[gi.min()])
-                hi[1] = max(hi[1], gammas[gi.max()])
-                lo[2] = min(lo[2], s)
-                hi[2] = max(hi[2], s)
-        box = [
-            (max(box[d][0], lo[d] - step), min(box[d][1], hi[d] + step))
-            for d in range(3)
-        ]
+        alpha_hit = np.array(alpha_max) >= thresh  # (s, alpha)
+        gamma_hit = np.array(gamma_max) >= thresh  # (s, gamma)
+        kept = [alphas[alpha_hit.any(axis=0)], gammas[gamma_hit.any(axis=0)],
+                svals[alpha_hit.any(axis=1)]]
+        box = [(max(b[0], k[0] - step), min(b[1], k[-1] + step)) for b, k in zip(box, kept)]
         step = max(resolution, step / 10.0)
     alpha, gamma, s = best_pt
     terms = _terms(alpha, gamma, s)

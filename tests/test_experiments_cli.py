@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from roommates.cli import main
 from roommates.estimators import _conditional_x_batch, _fill_conditional_pairs
 from roommates.experiments import (
     ConfigError,
@@ -306,3 +309,110 @@ def test_zero_samples_rejected_up_front():
     assert run.returncode == 2 and "samples" in run.stderr
     run = _cli("estimate", "two-point", "--n", "40", "--cycle", "4", "--samples", "0")
     assert run.returncode == 2 and "samples" in run.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_grid", [4.0]),
+        ("n_grid", 4),
+        ("replicates", 5.5),
+        ("replicates", True),
+        ("chunk_size", 2.0),
+        ("master_seed", 1.5),
+        ("master_seed", -1),
+        ("workers", 2.0),
+        ("nu_cap", "3"),
+        ("proposal_rate", True),
+        ("proposal_rate", "2"),
+    ],
+)
+def test_config_bad_values_fail_before_work(tmp_path, capsys, field, value):
+    # these used to die mid-run with a TypeError, run one replicate for
+    # True, or fail in numpy's SeedSequence for a negative seed
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n_grid": [4], "replicates": 5, field: value}))
+    out = tmp_path / "s.csv"
+    assert main(["scaling", "--config", str(config), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
+def test_config_rejects_numpy_ints_seed_flag_and_non_str_output(tmp_path, capsys):
+    # numpy integers used to run every chunk and then fail in config_hash
+    with pytest.raises(ConfigError, match="n_grid"):
+        ExperimentConfig(kind="scaling", n_grid=(np.int64(50),))
+    with pytest.raises(ConfigError, match="replicates"):
+        ExperimentConfig(kind="scaling", n_grid=(4,), replicates=np.int64(5))
+    # an int output used to run all the work and then open that descriptor
+    with pytest.raises(ConfigError, match="output"):
+        ExperimentConfig(kind="scaling", n_grid=(4,), output=7)
+    out = tmp_path / "s.csv"
+    argv = ["scaling", "--n-grid", "4", "--replicates", "5", "--seed", "-1"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    assert "master_seed" in capsys.readouterr().err
+
+
+def test_csv_headers_of_ex_scaling_and_census(tmp_path):
+    out = tmp_path / "ex.csv"
+    run_experiment(
+        ExperimentConfig(kind="ex-scaling", n_grid=(10,), samples=200, master_seed=1,
+                         output=str(out))
+    )
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# kind=ex-scaling config_hash=5b888023aab13f6d schema=1"
+    assert lines[1] == "n,samples,estimate,stderr,ess,degenerate"
+    assert lines[2].startswith("10,200,") and lines[2].endswith(",0")
+    out = tmp_path / "census.csv"
+    run_experiment(
+        ExperimentConfig(kind="census", n_grid=(8, 10), samples=20, nu_cap=4, enum_cap=8,
+                         master_seed=2, output=str(out))
+    )
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# kind=census config_hash=faa9808b4e485a84 schema=1"
+    assert lines[1] == (
+        "n,samples,ess,mean_X,stderr_X,xcirc_le,xcirc_le_stderr,xcirc_2,xcirc_3,xcirc_4,"
+        "d1_rate,d3_rate,combine_fail_per_pair,gpi_rate"
+    )
+    cells = [line.split(",") for line in lines[2:]]
+    assert [len(c) for c in cells] == [14, 14]
+    assert cells[0][:2] == ["8", "20"] and "" not in cells[0]
+    # n=10 is above enum_cap, so the full stable-matching count is not taken
+    assert cells[1][:2] == ["10", "20"] and cells[1][3:5] == ["", ""]
+    assert "" not in cells[1][:3] + cells[1][5:]
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "config, own_layers",
+    [
+        ({"kind": "scaling", "n_grid": [4, 10], "replicates": 20, "chunk_size": 8},
+         ["solvers.irving_decide"]),
+        ({"kind": "ex-scaling", "n_grid": [10], "samples": 300, "chunk_size": 100},
+         ["numerics.stability_log_rows"]),
+        ({"kind": "census", "n_grid": [8, 12], "samples": 10, "nu_cap": 3, "chunk_size": 5},
+         ["experiments.stable_single_cycle_neighbors", "estimators.fill_conditional_pairs"]),
+    ],
+)
+def test_bench_trace_reaches_every_layer(tmp_path, config, own_layers):
+    # the trace rebinds module attributes by name, so a chunk worker or run
+    # function held in a table built at import would go unseen; it runs in
+    # a subprocess to keep the rebinding out of this session
+    request = {"config": dict(config, output=str(tmp_path / "t.csv")), "trace": True}
+    path = os.pathsep.join(filter(None, [str(_REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(_REPO / "bench" / "experiment.py"), json.dumps(request)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    record = json.loads(run.stdout.splitlines()[-1])
+    layers = record["layers"]
+    assert record["missing"] == []
+    assert layers["experiments.chunk.calls"] > 0
+    assert layers["experiments.run.self_s"] > 0
+    for layer in own_layers:
+        assert layers[f"{layer}.calls"] > 0
