@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ from .instances import (
     RngStream, UtilityMatrix, check_agent_count, preference_rows, rank_from_utilities
 )
 from .matchings import Matching
-from .solvers import ENUM_CAP, enumerate_stable, irving_decide
+from .solvers import ENUM_CAP, ResourceCapError, enumerate_stable, irving_decide
 
 MERTENS_COEFF = math.e * math.sqrt(2.0 / math.pi)
 
@@ -102,6 +103,9 @@ class ExperimentConfig:
                 raise ConfigError(f"n values must be < 2**20 (seed-stream key), got {n}")
             if self.kind == "census" and self.nu_cap > n // 2:
                 raise ConfigError(f"nu_cap {self.nu_cap} exceeds n/2 for n={n}")
+        if len(set(self.n_grid)) != len(self.n_grid):
+            # a repeat would redraw the same seed stream as a second row
+            raise ConfigError(f"n_grid values must be distinct, got {self.n_grid!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.samples < 1:
@@ -117,9 +121,8 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.chunk_size < 0:
             raise ConfigError("chunk_size must be >= 0")
-        chunks = -(-self.work() // self.chunk_len())
-        if chunks >= _CHUNK_LIMIT:
-            raise ConfigError(f"{chunks} chunks per n exceed the seed-stream key (< 2**32)")
+        if self.chunks() >= _CHUNK_LIMIT:
+            raise ConfigError(f"{self.chunks()} chunks per n exceed the seed-stream key (< 2**32)")
         if self.nu_cap < 2:
             raise ConfigError("nu_cap must be >= 2")
         if self.enum_cap > ENUM_CAP:
@@ -134,6 +137,10 @@ class ExperimentConfig:
     def chunk_len(self) -> int:
         """Work items per chunk: ``chunk_size`` or the kind's default."""
         return self.chunk_size or KINDS[self.kind].chunk
+
+    def chunks(self) -> int:
+        """Chunks per n."""
+        return -(-self.work() // self.chunk_len())
 
     def config_hash(self) -> str:
         """Hash of the data-determining fields only: worker count and output
@@ -179,13 +186,39 @@ def _chunk_stream(master_seed: int, kind: str, n: int, chunk: int) -> RngStream:
     return RngStream(master_seed, sid)
 
 
+def _block_width(n: int) -> int:
+    """Columns of a scaling instance's preference block.  Phase 1 of
+    irving_decide runs off its end in about one row per instance at n=100
+    and half a row at n=1000 (8 and 11 rows at half this width); such a
+    row is extended from the utilities."""
+    return min(n - 1, 2 * math.isqrt(n) + 1)
+
+
 def _random_pref_score(gen: np.random.Generator, n: int):
-    """Uniform utilities with a sentinel diagonal; the argsort rows (self
-    excluded) are the preference lists and the raw utilities serve as the
-    comparison scores, so no rank matrix is ever built."""
+    """Uniform utilities with a sentinel diagonal, and the first
+    min(n-1, 2 isqrt(n) + 1) agents of each row in preference order (self
+    excluded): the block ``irving_decide`` starts phase 1 from.  The raw
+    utilities serve as the comparison scores, so neither a rank matrix nor
+    a full n x n argsort is ever built."""
     u = gen.random((n, n))
     np.fill_diagonal(u, 2.0)
-    return preference_rows(u), u
+    return preference_rows(u, _block_width(n)), u
+
+
+def _check_scaling_memory(config: ExperimentConfig) -> None:
+    """Raise ResourceCapError, before any work, when the instances that the
+    run's workers hold at once do not fit in the host's physical memory.  An
+    instance peaks at its float64 utilities, the two n x n bool masks that
+    irving_decide builds its live table from, and the preference block."""
+    n = max(config.n_grid)
+    workers = min(config.workers, config.chunks())
+    need = workers * (10 * n * n + 8 * n * _block_width(n))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ResourceCapError(
+            f"{workers} worker(s) at n={n} need {need / 2**30:.1f} GiB, "
+            f"more than the host's {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _scaling_chunk(args) -> int:
@@ -250,6 +283,7 @@ def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
             mertens_prediction=MERTENS_COEFF * n ** -0.25,
         )
 
+    _check_scaling_memory(config)
     return _run_grid(config, "scaling", _scaling_chunk, (), row)
 
 

@@ -123,6 +123,11 @@ class PreferenceProfile:
         return self._position
 
 
+# Entries ranked at once by preference_rows: a slab's index array is 512 KB,
+# 65 rows at n = 1000 and the whole array up to n = 256.
+_SLAB_ENTRIES = 1 << 16
+
+
 def sample_utilities(n: int, rng: RngStream | Generator) -> UtilityMatrix:
     """Draw all n(n-1) off-diagonal utilities i.i.d. uniform on [0,1]."""
     check_agent_count(n)
@@ -132,11 +137,28 @@ def sample_utilities(n: int, rng: RngStream | Generator) -> UtilityMatrix:
     return UtilityMatrix(n, u)
 
 
-def preference_rows(u: np.ndarray) -> np.ndarray:
-    """(n, n-1) preference lists of an (n, n) utility array: each row's
-    agents in ascending utility.  The diagonal must sort last (NaN, or any
-    value above 1), so slicing off the last column drops the agent itself."""
-    return np.argsort(u, axis=1)[:, : u.shape[0] - 1]
+def preference_rows(u: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Preference lists of (m, n) utility rows: the first ``k`` agents of
+    each row in ascending utility, (m, k); ``k`` defaults to n-1, the full
+    lists.  Each row's own agent must sort last (a NaN, or any value above
+    the others), so it is never among the first n-1.  Full lists come from
+    one argsort.  Shorter ones are ranked in slabs by a partition at ``k``
+    and a sort of the k kept columns, so no (m, n) index array is held when
+    the output is smaller than one."""
+    n = u.shape[1]
+    k = n - 1 if k is None else k
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+    if k == n - 1:
+        return np.argsort(u, axis=1)[:, :k]
+    out = np.empty((u.shape[0], k), dtype=np.intp)
+    step = max(1, _SLAB_ENTRIES // n)
+    for lo in range(0, u.shape[0], step):
+        slab = u[lo : lo + step]
+        top = np.argpartition(slab, k - 1, axis=1)[:, :k]
+        order = np.argsort(np.take_along_axis(slab, top, axis=1), axis=1)
+        out[lo : lo + step] = np.take_along_axis(top, order, axis=1)
+    return out
 
 
 def rank_from_utilities(um: UtilityMatrix) -> PreferenceProfile:

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import PreferenceProfile
+from .instances import PreferenceProfile, preference_rows
 from .matchings import Matching, symmetric_difference
 
 
 class ResourceCapError(RuntimeError):
-    """Exhaustive enumeration requested beyond the configured agent cap."""
+    """Work beyond a resource cap: exhaustive enumeration past its agent cap,
+    or an experiment whose instances would not fit in physical memory."""
 
 
 @dataclass(frozen=True)
@@ -60,19 +61,25 @@ class CensusResult:
 def irving_decide(pref: np.ndarray, score: np.ndarray):
     """Array-level core of the decision procedure.
 
-    ``pref``: (n, n-1) rows of agents in preference order (best first).
-    ``score``: (n, n) numbers consistent with that order: score[i][j] is
-    lower the more i prefers j (raw utilities and rank positions both
-    qualify).  Working with score thresholds instead of rank positions
-    keeps the hot path free of an auxiliary rank-matrix build.  Scalars
-    are read through memoryviews, which copy nothing and return Python
-    numbers faster than numpy scalar indexing.
+    ``score``: (n, n) numbers, score[i][j] lower the more i prefers j (raw
+    utilities and rank positions both qualify), with every diagonal entry
+    above the row's other entries so that each agent sorts itself last.
+    Working with score thresholds instead of rank positions keeps the hot
+    path free of an auxiliary rank-matrix build.
+    ``pref``: (n, k) with 1 <= k <= n-1, the first k agents of each row in
+    preference order (best first), as ``preference_rows(score, k)`` gives;
+    k = n-1 is the full table.  A proposer that runs off the end of its
+    block has its row extended to the full list from ``score``, so the
+    result does not depend on k.
+    Phase 1 reads ``pref`` row by row; phase 2 never reads it, but runs on
+    a table of the entries alive after phase 1, built once from its
+    thresholds.  Scalars are read through memoryviews, which copy nothing
+    and return Python numbers faster than numpy scalar indexing.
     Returns (partner list or None, proposal count, rotation count).
     """
-    n = pref.shape[0]
-    last_pos = n - 2
-    P = memoryview(pref)
+    n = score.shape[0]
     S = memoryview(score)
+    rows = [memoryview(r) for r in pref]
     # ws[y]: y's table is truncated strictly below this score
     ws = [float("inf")] * n
     holder = [-1] * n
@@ -80,25 +87,28 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
     proposals = 0
 
     # Phase 1: proposal chains with truncation below each held proposal.
-    # An agent is exhausted once its pointer enters the region of its own
-    # row lying strictly below its held proposal.
+    # An agent is exhausted once its pointer passes its list's end or enters
+    # the region of its own row lying strictly below its held proposal.
     for x0 in range(n):
         x = x0
         while x != -1:
             pos = nxt[x]
             thr = ws[x]
-            y = -1
-            while pos <= last_pos:
-                y = P[x, pos]
+            row = rows[x]
+            end = len(row)
+            while True:
+                if pos == end:
+                    if end == n - 1:
+                        return None, proposals, 0  # rejected by every agent
+                    row = rows[x] = memoryview(preference_rows(score[x : x + 1])[0])
+                    end = n - 1
+                y = row[pos]
                 if S[x, y] > thr:
-                    pos = n
-                    break
+                    return None, proposals, 0  # rejected by every admissible agent
                 if S[y, x] <= ws[y]:
                     break
                 pos += 1
             nxt[x] = pos
-            if pos > last_pos:
-                return None, proposals, 0  # rejected by every admissible agent
             proposals += 1
             h = holder[y]
             holder[y] = x
@@ -108,23 +118,39 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
             else:
                 nxt[h] += 1
                 x = h
-    # At phase-1 end each agent holds exactly one proposal, sitting at the
-    # end of its reduced row; recover those positions (worst_pos[x]: last
-    # admissible position in x's own row) in one pass.
-    worst_pos = (pref == np.asarray(holder, dtype=pref.dtype)[:, None]).argmax(axis=1).tolist()
-
-    # Phase-2 table: entry (i, j) is alive iff both sides admit it.  Entries
-    # only ever die, so every scan pointer below moves one way.
-    fp = nxt  # phase 1 leaves each agent at its first live position
-    sp = [1] * n  # no live entry lies strictly between fp and sp
-    lp = list(worst_pos)  # last live position
+    # Phase 2 runs on a table of the live entries: (i, j) is alive iff both
+    # sides admit it.  Row i's live entries sit in L[off[i]:off[i + 1]] in
+    # i's order (ascending score), found in numpy from the phase-1
+    # thresholds.  Sorting by score, then stably by row keeps that order
+    # exact, and the row keys' narrow dtype makes the second sort a radix
+    # sort.
+    admit = score <= np.array(ws)[:, None]
+    flat = np.flatnonzero(admit & admit.T)
+    del admit
+    row_of = (flat // n).astype(np.min_scalar_type(n - 1))
+    order = np.argsort(np.take(score, flat))
+    order = order[np.argsort(row_of[order], kind="stable")]
+    flat = flat[order]
+    cols = flat % n
+    L = memoryview(cols)
+    # R[pos]: the score that agent L[pos] gives the row's agent, so the entry
+    # stays alive while R[pos] <= ws[L[pos]]
+    R = memoryview(np.take(score, cols * n + flat // n))
+    off = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row_of, minlength=n), out=off[1:])
+    off = off.tolist()
+    # Entries only ever die, so every scan pointer below moves one way.
+    fp = off[:n]  # phase 1 leaves each agent's first live entry at its offset
+    sp = off[:n]  # no live entry lies strictly between fp and sp
+    worst_pos = [o - 1 for o in off[1:]]  # last admissible index: the held proposal
+    lp = list(worst_pos)  # last live index
 
     def first_alive(i):
         pos = fp[i]
         w = worst_pos[i]
         while pos <= w:
-            z = P[i, pos]
-            if S[z, i] <= ws[z]:
+            z = L[pos]
+            if R[pos] <= ws[z]:
                 fp[i] = pos
                 return z
             pos += 1
@@ -139,8 +165,8 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
             pos = fp[i] + 1
         w = worst_pos[i]
         while pos <= w:
-            z = P[i, pos]
-            if S[z, i] <= ws[z]:
+            z = L[pos]
+            if R[pos] <= ws[z]:
                 sp[i] = pos
                 return z
             pos += 1
@@ -149,9 +175,10 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
 
     def last_alive(i):
         pos = min(lp[i], worst_pos[i])
-        while pos >= 0:
-            z = P[i, pos]
-            if S[z, i] <= ws[z]:
+        lo = off[i]
+        while pos >= lo:
+            z = L[pos]
+            if R[pos] <= ws[z]:
                 lp[i] = pos
                 return z
             pos -= 1
@@ -208,13 +235,16 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
         # last(y), i.e. a rotation agent: only those can change their first
         # entry, and only those can end up with empty lists.
         for x, y in rot:
-            worst_pos[y] = int((pref[y, : worst_pos[y] + 1] == x).argmax())
+            pos = off[y]
+            while L[pos] != x:
+                pos += 1
+            worst_pos[y] = pos
             ws[y] = S[y, x]
         for x in cycle:
             if first_alive(x) < 0:
                 return None, proposals, rotations
 
-    partner = [P[i, fp[i]] for i in range(n)]
+    partner = [L[fp[i]] for i in range(n)]
     for i, j in enumerate(partner):
         if partner[j] != i:  # cannot happen for a stable table
             raise AssertionError("phase 2 terminated on an inconsistent table")

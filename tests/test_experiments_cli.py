@@ -416,3 +416,27 @@ def test_bench_trace_reaches_every_layer(tmp_path, config, own_layers):
     assert layers["experiments.run.self_s"] > 0
     for layer in own_layers:
         assert layers[f"{layer}.calls"] > 0
+
+
+def test_repeated_n_rejected_before_work(tmp_path):
+    # a repeated n used to write two identical rows drawn from one seed
+    # stream, and the sidecar kept only one of their timings
+    with pytest.raises(ConfigError, match="n_grid"):
+        ExperimentConfig(kind="scaling", n_grid=(4, 4))
+    out = tmp_path / "s.csv"
+    run = _cli("scaling", "--n-grid", "4,4", "--replicates", "5", "--output", str(out))
+    assert run.returncode == 2 and "n_grid" in run.stderr
+    assert not out.exists()
+
+
+def test_scaling_beyond_physical_memory_fails_before_work(tmp_path):
+    # about 10 n^2 bytes per instance: terabytes at n = 10^6 on any host.
+    # The config itself stays valid; the run checks the host before n = 4.
+    ExperimentConfig(kind="scaling", n_grid=(4, 1_000_000), workers=2)
+    out = tmp_path / "s.csv"
+    run = _cli(
+        "scaling", "--n-grid", "4,1000000", "--replicates", "5", "--workers", "2",
+        "--output", str(out),
+    )
+    assert run.returncode == 3 and "physical memory" in run.stderr
+    assert not out.exists()

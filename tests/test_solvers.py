@@ -1,7 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from roommates.experiments import ExperimentConfig, _random_pref_score, run_scaling
-from roommates.instances import PreferenceProfile, RngStream, sample_profile
+from roommates.instances import PreferenceProfile, RngStream, preference_rows, sample_profile
 from roommates.matchings import Matching, is_stable, symmetric_difference
 from roommates.solvers import (
     ResourceCapError,
@@ -123,7 +126,7 @@ def test_irving_decide_pinned_and_stable(n):
         assert proposals == pinned
         assert (partner is not None) == (bit == "1")
         if partner is not None:
-            profile = PreferenceProfile(n, tuple(map(tuple, pref.tolist())))
+            profile = PreferenceProfile(n, tuple(map(tuple, preference_rows(score).tolist())))
             assert is_stable(profile, Matching(tuple(partner)))
             multi_rotation_found += rotations >= 2
     assert multi_rotation_found >= 3
@@ -146,3 +149,37 @@ def test_scaling_counts_pinned():
             kind="scaling", n_grid=(100, 200), replicates=300, master_seed=seed
         )
         assert [row.count_exists for row in run_scaling(config)] == counts
+
+
+def test_block_width_does_not_change_result():
+    # irving_decide extends a row from the scores when phase 1 runs off the
+    # end of its block, so any block width gives the full table's result;
+    # k = 1 extends almost every row
+    phase1_failures = 0
+    for n, reps in ((4, 200), (8, 200), (12, 100), (14, 100), (50, 30), (200, 8), (1000, 2)):
+        for r in range(reps):
+            u = RngStream(5150 + n, r).generator().random((n, n))
+            np.fill_diagonal(u, 2.0)
+            full = irving_decide(preference_rows(u), u)
+            for k in sorted({1, 2, min(n - 1, math.ceil(2 * math.sqrt(n))), n - 1}):
+                assert irving_decide(preference_rows(u, k), u) == full, (n, r, k)
+            phase1_failures += full[0] is None and full[2] == 0
+    assert phase1_failures >= 20
+
+
+def test_solver_pinned_at_n1000():
+    # values from the solver on the full argsort, before the block and the
+    # live table; until then only c06 reached n = 1000
+    config = ExperimentConfig(
+        kind="scaling", n_grid=(1000,), replicates=24, master_seed=7, chunk_size=8
+    )
+    assert [row.count_exists for row in run_scaling(config)] == [12]
+    totals = [0, 0, 0]
+    for r in range(12):
+        partner, proposals, rotations = irving_decide(
+            *_random_pref_score(RngStream(1000, r).generator(), 1000)
+        )
+        totals[0] += proposals
+        totals[1] += rotations
+        totals[2] += partner is not None
+    assert totals == [30983, 917, 6]
