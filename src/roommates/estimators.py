@@ -378,11 +378,12 @@ def _fill_conditional_pairs(
     n = m.n
     U = np.full((n, n), np.nan)
     U[np.arange(n), np.array(m.partner)] = x
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i] != j]
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
-    a = gen.random(len(pairs))
-    bvals = gen.random(len(pairs))
+    # the non-matched pairs i < j in row-major order
+    pi, pj = np.triu_indices(n, 1)
+    keep = np.array(m.partner)[pi] != pj
+    pi, pj = pi[keep], pj[keep]
+    a = gen.random(pi.size)
+    bvals = gen.random(pi.size)
     blocked = (a < x[pi]) & (bvals < x[pj])
     while blocked.any():
         idx = np.nonzero(blocked)[0]

@@ -15,6 +15,7 @@ import math
 import os
 import platform
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -325,15 +326,18 @@ def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, new_partner: dict[int, int
     """Full stability check of the matching that differs from the reference
     on ``new_partner``, valid when the reference itself is stable: a pair
     with both members outside the difference can never newly block."""
+    idx = np.fromiter(new_partner, dtype=np.intp, count=len(new_partner))
     y = x.copy()
-    for v, p in new_partner.items():
-        y[v] = U[v, p]
-    for v in new_partner:
-        with np.errstate(invalid="ignore"):
-            mask = (U[v, :] < y[v]) & (U[:, v] < y)
-        if mask.any():
-            return False
-    return True
+    y[idx] = U[idx, np.fromiter(new_partner.values(), dtype=np.intp, count=idx.size)]
+    with np.errstate(invalid="ignore"):
+        return not ((U[idx] < y[idx, None]) & (U[:, idx].T < y)).any()
+
+
+# Search nodes (paths extended) that stable_single_cycle_neighbors may
+# expand on one instance before it raises ResourceCapError.  An instance
+# takes about 40 nodes at n=12 and 500 at n=50 with nu_cap 5, 2.5k at n=200
+# with nu_cap 5 and 120k (about 2 s) with nu_cap 8.
+SEARCH_NODE_CAP = 1_000_000
 
 
 def stable_single_cycle_neighbors(
@@ -346,87 +350,130 @@ def stable_single_cycle_neighbors(
     Searches oriented cycles directly: along a realizable cycle the
     improving and worsening vertices alternate, and every improving vertex
     must rank its new partner above its old one, which at typical scale
-    leaves about sqrt(n) candidates per step instead of n.
+    leaves about sqrt(n) candidates per step instead of n.  Raises
+    ResourceCapError when the search expands more than SEARCH_NODE_CAP
+    nodes.
     """
     n = m.n
     partner = list(m.partner)
-    x = U[np.arange(n), np.array(partner)]
+    p_arr = np.array(partner)
+    x = U[np.arange(n), p_arr]
+    # (b, j) for every j that prefers b to its partner (an admirer of b),
+    # each b's admirers in ascending index
     with np.errstate(invalid="ignore"):
-        admire = U < x[:, None]
-    admirer_lists = [np.nonzero(admire[:, b])[0].tolist() for b in range(n)]
-    # for each b: admirers sorted by b's utility for them, to count/identify
-    # agents that would block b's candidate new match
-    covet = []
-    for b in range(n):
-        pairs = sorted((float(U[b, j]), j) for j in admirer_lists[b])
-        covet.append(pairs)
+        bs, js = np.nonzero((U < x[:, None]).T)
+    ub = U[bs, js]
+    off = np.searchsorted(bs, np.arange(n + 1))
+    # covet[b]: b's admirers as (U[b, j], j) in b's order, to count and
+    # identify agents that would block b's candidate new match
+    order = np.lexsort((ub, bs))  # sorts within each b's block only
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - off[bs]
+    off = off.tolist()
+    cv = list(zip(ub[order].tolist(), js[order].tolist()))
+    covet = [cv[off[b] : off[b + 1]] for b in range(n)]
+    # cands[b]: admirers a2 that b would take only as a worse partner, in
+    # ascending index, as (a2, U[b, a2], U[a2, b], partner of a2, rank of a2
+    # in covet[b]); keys[b] holds their indices for the bisection on a1
+    keep = ub > x[bs]
+    bs, js = bs[keep], js[keep]
+    coff = np.searchsorted(bs, np.arange(n + 1)).tolist()
+    a2s = js.tolist()
+    cl = list(zip(a2s, ub[keep].tolist(), U[js, bs].tolist(), p_arr[js].tolist(),
+                  rank[keep].tolist()))
+    cands = [cl[coff[b] : coff[b + 1]] for b in range(n)]
+    keys = [a2s[coff[b] : coff[b + 1]] for b in range(n)]
     Ul = U.tolist()
     xl = x.tolist()
     out: list[tuple[int, dict[int, int]]] = []
     used = [False] * n
-    ys: dict[int, float] = {}
+    path: list[tuple[int, float]] = []  # committed vertices and their new utilities
+    new_partner: dict[int, int] = {}
+    nodes = 0
 
-    def in_path_blocked(v: int, yv: float) -> bool:
-        for j, yj in ys.items():
-            if j != v and Ul[v][j] < yv and Ul[j][v] < yj:
-                return True
-        return False
-
-    def extend(a1: int, last_b: int, depth: int, new_partner: dict[int, int]) -> None:
-        # try to close the cycle back to a1
+    def extend(a1: int, b: int, depth: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_CAP:
+            raise ResourceCapError(
+                f"census search at n={n}, nu_cap={nu_cap} expanded more than "
+                f"{SEARCH_NODE_CAP} nodes on one instance; lower nu_cap"
+            )
+        Ub = Ul[b]
+        Ua1 = Ul[a1]
         if depth >= 2:
-            y_close = Ul[last_b][a1]
-            if y_close > xl[last_b] and Ul[a1][last_b] < xl[a1]:
-                cand = dict(new_partner)
-                cand[last_b] = a1
-                cand[a1] = last_b
-                if _neighbor_is_stable(U, x, cand):
-                    out.append((depth, cand))
+            # try to close the cycle back to a1, first looking for an exact
+            # witness against it: a path vertex blocking b or a1 at their
+            # closing utilities, or an unused admirer that b prefers
+            y_close = Ub[a1]
+            ya1 = Ua1[b]
+            if y_close > xl[b] and ya1 < xl[a1]:
+                witness = False
+                for j, yj in path:
+                    if (Ub[j] < y_close and Ul[j][b] < yj) or (Ua1[j] < ya1 and Ul[j][a1] < yj):
+                        witness = True
+                        break
+                if not witness:
+                    for val, j in covet[b]:
+                        if val >= y_close:
+                            break
+                        if not used[j]:
+                            witness = True
+                            break
+                if not witness:
+                    cand = dict(new_partner)
+                    cand[b] = a1
+                    cand[a1] = b
+                    if _neighbor_is_stable(U, x, cand):
+                        out.append((depth, cand))
         if depth >= nu_cap:
             return
         budget = nu_cap - depth - 1
-        for a2 in admirer_lists[last_b]:
-            if a2 <= a1 or used[a2]:
+        xa1 = xl[a1]
+        for a2, yb, ya, b2, r in cands[b][bisect_right(keys[b], a1) :]:
+            if used[a2]:
                 continue
-            yb = Ul[last_b][a2]
-            if yb <= xl[last_b]:
-                continue
-            ya = Ul[a2][last_b]
-            # exact blocking against committed vertices
-            if in_path_blocked(last_b, yb) or in_path_blocked(a2, ya):
-                continue
+            if budget == 0 and not (Ul[b2][a1] > xl[b2] and Ua1[b2] < xa1):
+                continue  # the next step must close the cycle, and b2 cannot
             # agents outside the path that would block b's new match can
-            # only be absorbed as future improving vertices
-            pending = 0
-            dead = False
-            for val, j in covet[last_b]:
-                if val >= yb:
-                    break
-                if j == a2 or j == a1 or j in ys:
-                    continue  # committed vertices handled exactly above
-                if used[j]:
-                    continue
-                pending += 1
+            # only be absorbed as future improving vertices.  Committed ones
+            # are used, a2 itself sorts at yb, and at most r agents sort
+            # below it.
+            if r > budget:
+                pending = 0
+                for val, j in covet[b]:
+                    if val >= yb:
+                        break
+                    if not used[j]:
+                        pending += 1
+                        if pending > budget:
+                            break
                 if pending > budget:
-                    dead = True
-                    break
-            if dead:
+                    continue
+            # exact blocking against committed vertices
+            blocked = False
+            if path:
+                Ua2 = Ul[a2]
+                for j, yj in path:
+                    if (Ub[j] < yb and Ul[j][b] < yj) or (Ua2[j] < ya and Ul[j][a2] < yj):
+                        blocked = True
+                        break
+            if blocked:
                 continue
-            b2 = partner[a2]
             used[a2] = used[b2] = True
-            ys[last_b] = yb
-            ys[a2] = ya
-            new_partner[last_b] = a2
-            new_partner[a2] = last_b
-            extend(a1, b2, depth + 1, new_partner)
-            del new_partner[last_b], new_partner[a2]
-            del ys[last_b], ys[a2]
+            path.append((b, yb))
+            path.append((a2, ya))
+            new_partner[b] = a2
+            new_partner[a2] = b
+            extend(a1, b2, depth + 1)
+            del new_partner[b], new_partner[a2]
+            del path[-2:]
             used[a2] = used[b2] = False
 
     for a1 in range(n):
         b1 = partner[a1]
         used[a1] = used[b1] = True
-        extend(a1, b1, 1, {})
+        extend(a1, b1, 1)
         used[a1] = used[b1] = False
     return out
 

@@ -19,7 +19,8 @@ from .matchings import Matching, symmetric_difference
 
 class ResourceCapError(RuntimeError):
     """Work beyond a resource cap: exhaustive enumeration past its agent cap,
-    or an experiment whose instances would not fit in physical memory."""
+    a census neighbour search past its node cap, or an experiment whose
+    instances would not fit in physical memory."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,10 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
     Returns (partner list or None, proposal count, rotation count).
     """
     n = score.shape[0]
+    if pref.ndim != 2 or pref.shape[0] != n or not 1 <= pref.shape[1] <= n - 1:
+        raise ValueError(
+            f"pref must have {n} rows and 1 to {n - 1} columns, got shape {pref.shape}"
+        )
     S = memoryview(score)
     rows = [memoryview(r) for r in pref]
     # ws[y]: y's table is truncated strictly below this score
@@ -289,20 +294,25 @@ def enumerate_stable(
     partner = [-1] * n
     found: list[Matching] = []
     count = 0
-
-    def blocked_by_decided(i: int, j: int) -> bool:
-        ri, rj = rk[i], rk[j]
-        own_i, own_j = ri[j], rj[i]
-        for a in range(n):
-            pa = partner[a]
-            if pa == -1 or a == i or a == j:
-                continue
-            ra = rk[a]
-            if ra[i] < ra[pa] and ri[a] < own_i:
-                return True
-            if ra[j] < ra[pa] and rj[a] < own_j:
-                return True
-        return False
+    # The search state is one int with a bit at v * n + a for each matched
+    # agent a that ranks v above its partner: agent v's field holds the
+    # agents that would leave their partners for v.  block[i][j] has the
+    # bits i * n + a of the agents a that i ranks above j, and j * n + a of
+    # those j ranks above i, so matching i with j is blocked by a decided
+    # pair iff the state shares a bit with it.  Matching them XORs in
+    # flip[i][j]: the bits v * n + i of the v that i ranks above j, and
+    # v * n + j of the v that j ranks above i.
+    above = [[0] * n for _ in range(n)]
+    wanted = [[0] * n for _ in range(n)]
+    for i, row in enumerate(p.ranks):
+        a_mask = v_mask = 0
+        for a in row:
+            above[i][a] = a_mask
+            wanted[i][a] = v_mask
+            a_mask |= 1 << (i * n + a)
+            v_mask |= 1 << (a * n + i)
+    block = [[a | b for a, b in zip(r, c)] for r, c in zip(above, zip(*above))]
+    flip = [[a ^ b for a, b in zip(r, c)] for r, c in zip(wanted, zip(*wanted))]
 
     def full_check() -> bool:
         for i in range(n):
@@ -313,7 +323,7 @@ def enumerate_stable(
                     return False
         return True
 
-    def dfs(lowest: int) -> None:
+    def dfs(lowest: int, state: int) -> None:
         nonlocal count
         i = lowest
         while i < n and partner[i] != -1:
@@ -325,17 +335,17 @@ def enumerate_stable(
                 if materialize:
                     found.append(Matching(tuple(partner)))
             return
+        block_i, flip_i = block[i], flip[i]
         for j in range(i + 1, n):
-            if partner[j] != -1:
+            if partner[j] != -1 or prune and state & block_i[j]:
                 continue
             partner[i] = j
             partner[j] = i
-            if not prune or not blocked_by_decided(i, j):
-                dfs(i + 1)
+            dfs(i + 1, state ^ flip_i[j])
             partner[i] = -1
             partner[j] = -1
 
-    dfs(0)
+    dfs(0, 0)
     per_distance = None
     if reference is not None:
         if not materialize:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from roommates import experiments
 from roommates.cli import main
 from roommates.estimators import _conditional_x_batch, _fill_conditional_pairs
 from roommates.experiments import (
     ConfigError,
     ExperimentConfig,
+    _census_chunk,
     gpi_weighted_frequency,
     reference_with_cycles,
     run_conditional_census,
@@ -23,7 +26,7 @@ from roommates.experiments import (
 )
 from roommates.instances import RngStream
 from roommates.matchings import Matching, is_stable, single_cycle_neighbors
-from roommates.solvers import ENUM_CAP
+from roommates.solvers import ENUM_CAP, ResourceCapError
 
 from conftest import profile_from_utilities_fast
 
@@ -86,7 +89,9 @@ def test_config_hash_ignores_workers_and_output():
 
 def test_stable_neighbor_search_matches_brute_force():
     gen = np.random.default_rng(31)
-    for n in (8, 10):
+    # nu_cap n/2, and a cap of 3 at n=12, which exercises the pending
+    # budget and the pruning of the last step below n/2
+    for n, nu_cap in ((8, 4), (10, 5), (12, 3)):
         m = Matching.consecutive(n)
         for _ in range(40):
             X, _ = _conditional_x_batch(m, 1, gen)
@@ -95,10 +100,10 @@ def test_stable_neighbor_search_matches_brute_force():
             assert is_stable(profile, m)
             found = {
                 tuple(sorted(d.items()))
-                for _, d in stable_single_cycle_neighbors(U, m, n // 2)
+                for _, d in stable_single_cycle_neighbors(U, m, nu_cap)
             }
             brute = set()
-            for nu in range(2, n // 2 + 1):
+            for nu in range(2, nu_cap + 1):
                 for nb in single_cycle_neighbors(m, nu):
                     if is_stable(profile, nb):
                         brute.add(
@@ -109,6 +114,52 @@ def test_stable_neighbor_search_matches_brute_force():
                             )
                         )
             assert found == brute
+
+
+# sha256 prefixes of every array _census_chunk returns, from the search
+# before its candidate lists were built in numpy
+_PINNED_CENSUS_CHUNKS = {
+    (12, 12, 0, 64, None, 5, 12): {
+        "logw": "415e24115c2701ad", "xcirc": "9500c66f3c36f1dc", "d1": "49a262a550917552",
+        "d3": "58e8f2a1f78f0a59", "disjoint_pairs": "f8bc67a14486bebb",
+        "failing_pairs": "c772e13baf22fbab", "gpi": "1de5385a658570fe",
+        "full_X": "49f22eb6394ed361",
+    },
+    (12, 20, 1, 32, None, 8, 12): {
+        "logw": "e3382f5905868594", "xcirc": "cb120ee207657430", "d1": "c38003452ec1e353",
+        "d3": "66687aadf862bd77", "disjoint_pairs": "278edee491f608f1",
+        "failing_pairs": "5341e6b2646979a7", "gpi": "85055cb1126b54c0",
+        "full_X": "3d6876a0146de857",
+    },
+    (12, 50, 2, 32, None, 5, 12): {
+        "logw": "5b55835a0b73ead8", "xcirc": "5bb82d3fad5efa58", "d1": "eea490f1c8a8abfb",
+        "d3": "6cc4f0e930b34481", "disjoint_pairs": "cbebe8292dde533d",
+        "failing_pairs": "b45b6b3b26795b18", "gpi": "29f64ddc717fee09",
+        "full_X": "3d6876a0146de857",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_CENSUS_CHUNKS))
+def test_census_chunk_outputs_pinned(args):
+    out = _census_chunk(args)
+    digests = {k: hashlib.sha256(v.tobytes()).hexdigest()[:16] for k, v in out.items()}
+    assert digests == _PINNED_CENSUS_CHUNKS[args]
+
+
+def test_census_search_node_cap(tmp_path, monkeypatch):
+    # an instance at n=50 with nu_cap 5 expands about 500 nodes
+    monkeypatch.setattr(experiments, "SEARCH_NODE_CAP", 50)
+    m = Matching.consecutive(50)
+    gen = np.random.default_rng(3)
+    X, _ = _conditional_x_batch(m, 1, gen)
+    U = _fill_conditional_pairs(m, X[0], gen)
+    with pytest.raises(ResourceCapError, match="n=50, nu_cap=5"):
+        stable_single_cycle_neighbors(U, m, 5)
+    out = tmp_path / "c.csv"
+    code = main(["census", "--n-grid", "50", "--samples", "4", "--output", str(out)])
+    assert code == 3
+    assert not out.exists()
 
 
 def test_scaling_row_fields():

@@ -52,12 +52,16 @@ def test_oracle_equivalence_random_instances():
 
 
 def test_pruned_equals_unpruned():
-    for n in (4, 6, 8):
-        for r in range(60):
+    for n, reps in ((4, 60), (6, 60), (8, 60), (10, 30), (12, 10)):
+        for r in range(reps):
             p = sample_profile(n, RngStream(6100 + n, r))
             assert (
                 enumerate_stable(p, prune=True, materialize=False).X
                 == enumerate_stable(p, prune=False, materialize=False).X
+            )
+            assert (
+                enumerate_stable(p, prune=True).stable_list
+                == enumerate_stable(p, prune=False).stable_list
             )
 
 
@@ -183,3 +187,15 @@ def test_solver_pinned_at_n1000():
         totals[1] += rotations
         totals[2] += partner is not None
     assert totals == [30983, 917, 6]
+
+
+def test_irving_decide_rejects_bad_pref_shape():
+    # a block of width n holds each agent itself; it used to give (None, 4, 1)
+    # on this instance, whose full table gives (None, 3, 0)
+    u = RngStream(4, 114).generator().random((4, 4))
+    np.fill_diagonal(u, 2.0)
+    assert irving_decide(preference_rows(u), u) == (None, 3, 0)
+    for pref in (np.argsort(u, axis=1), preference_rows(u)[:, :0], preference_rows(u)[:3],
+                 preference_rows(u)[0]):
+        with pytest.raises(ValueError, match="pref"):
+            irving_decide(pref, u)
