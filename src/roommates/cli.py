@@ -28,21 +28,22 @@ from .experiments import (
     run_experiment,
 )
 from .exponent import tstar_closed_form, tstar_grid_search
-from .instances import InstanceParseError, InvalidInstanceError, RngStream, parse_instance
+from .instances import RngStream, parse_instance
 from .matchings import Matching, symmetric_difference
 from .solvers import ResourceCapError, enumerate_stable, irving_solve
 
 
-def _parse_n_grid(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    """Integers separated by commas or spaces, as ``flag`` takes them."""
     try:
         return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"bad n grid {text!r}") from None
+        raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
 def _experiment_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     overrides = {
-        "n_grid": _parse_n_grid(args.n_grid) if args.n_grid else None,
+        "n_grid": _parse_ints(args.n_grid, "--n-grid") if args.n_grid else None,
         "replicates": args.replicates,
         "samples": args.samples,
         "master_seed": args.seed,
@@ -102,6 +103,11 @@ def _estimate_record(args, est, t0: float) -> str:
             "wall_time": time.perf_counter() - t0,
         }
     )
+
+
+def _cmd_experiment(args) -> int:
+    run_experiment(_experiment_config(args.command, args))
+    return 0
 
 
 def _cmd_solve(args) -> int:
@@ -187,9 +193,8 @@ def _cmd_estimate(args) -> int:
             args.n, args.samples, rng, proposal_rate=args.proposal_rate
         )
     elif args.target == "two-point":
-        lengths: list[int] = []
         if args.cycles:
-            lengths = [int(tok) for tok in args.cycles.replace(",", " ").split()]
+            lengths = list(_parse_ints(args.cycles, "--cycles"))
         elif args.cycle:
             lengths = [args.cycle]
         else:
@@ -244,26 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    **dict.fromkeys(KINDS, _cmd_experiment),
+    "solve": _cmd_solve,
+    "census-instance": _cmd_census_instance,
+    "counts": _cmd_counts,
+    "tstar": _cmd_tstar,
+    "estimate": _cmd_estimate,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in KINDS:
-            config = _experiment_config(args.command, args)
-            run_experiment(config)
-            return 0
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "census-instance":
-            return _cmd_census_instance(args)
-        if args.command == "counts":
-            return _cmd_counts(args)
-        if args.command == "tstar":
-            return _cmd_tstar(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, InvalidInstanceError, InstanceParseError, ValueError) as exc:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:  # ConfigError and the instance errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

@@ -34,7 +34,7 @@ from .estimators import (
 from .instances import (
     RngStream, UtilityMatrix, check_agent_count, preference_rows, rank_from_utilities
 )
-from .matchings import Matching
+from .matchings import Matching, blocking_mask
 from .solvers import ENUM_CAP, ResourceCapError, enumerate_stable, irving_decide
 
 MERTENS_COEFF = math.e * math.sqrt(2.0 / math.pi)
@@ -329,8 +329,7 @@ def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, new_partner: dict[int, int
     idx = np.fromiter(new_partner, dtype=np.intp, count=len(new_partner))
     y = x.copy()
     y[idx] = U[idx, np.fromiter(new_partner.values(), dtype=np.intp, count=idx.size)]
-    with np.errstate(invalid="ignore"):
-        return not ((U[idx] < y[idx, None]) & (U[:, idx].T < y)).any()
+    return not blocking_mask(U, y, idx).any()
 
 
 # Search nodes (paths extended) that stable_single_cycle_neighbors may
@@ -567,6 +566,7 @@ def reference_with_cycles(n: int, lengths: list[int]) -> tuple[Matching, Matchin
     """The reference matching together with the matching that differs from
     it by disjoint cycles of the given even lengths, laid out on leading
     blocks of consecutive pairs."""
+    check_agent_count(n)
     if any(ln < 4 or ln % 2 != 0 for ln in lengths):
         raise ConfigError(f"cycle lengths must be even and >= 4, got {lengths}")
     if sum(lengths) > n:

@@ -190,31 +190,37 @@ def orient(
     return OrientedDifference(dec, frozenset(a_side), frozenset(b_side), valid)
 
 
-def blocking_pairs(p: PreferenceProfile, m: Matching) -> list[tuple[int, int]]:
-    """All unordered pairs (i, j) not matched together where each strictly
-    prefers the other to their current partner."""
+def blocking_mask(score: np.ndarray, own: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Blocking pairs as a (rows, n) bool array: entry (r, j) is True when
+    agents v = ``rows[r]`` and j each strictly prefer the other to their
+    partners.
+
+    ``score``: (n, n) ranks or utilities, lower meaning preferred.
+    ``own[v]``: the score v gives its partner.  Under strict ``<`` a matched
+    pair never qualifies, and neither does a diagonal that sorts last (n in a
+    rank matrix) or is NaN (utilities).
+    """
+    with np.errstate(invalid="ignore"):
+        return (score[rows] < own[rows, None]) & (score[:, rows].T < own)
+
+
+def _partner_scores(p: PreferenceProfile, m: Matching) -> tuple[np.ndarray, np.ndarray]:
     if p.n != m.n:
         raise ValueError("profile and matching sizes differ")
     pos = p.rank_matrix()
-    own = np.array([pos[i, m[i]] for i in range(m.n)])
-    out = []
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if m[i] != j and pos[i, j] < own[i] and pos[j, i] < own[j]:
-                out.append((i, j))
-    return out
+    return pos, pos[np.arange(m.n), np.array(m.partner)]
+
+
+def blocking_pairs(p: PreferenceProfile, m: Matching) -> list[tuple[int, int]]:
+    """All unordered pairs (i, j), i < j in row-major order, not matched
+    together where each strictly prefers the other to their current partner."""
+    i, j = np.nonzero(np.triu(blocking_mask(*_partner_scores(p, m)), 1))
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def is_stable(p: PreferenceProfile, m: Matching) -> bool:
     """True when no blocking pair exists."""
-    if p.n != m.n:
-        raise ValueError("profile and matching sizes differ")
-    pos = p.rank_matrix()
-    own = pos[np.arange(m.n), np.array(m.partner)]
-    better = pos < own[:, None]
-    blocked = better & better.T
-    blocked[np.arange(m.n), np.array(m.partner)] = False
-    return not blocked.any()
+    return not blocking_mask(*_partner_scores(p, m)).any()
 
 
 def single_cycle_neighbors(m: Matching, nu: int) -> Iterator[Matching]:

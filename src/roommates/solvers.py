@@ -272,16 +272,17 @@ def enumerate_stable(
     *,
     materialize: bool = True,
     reference: Matching | None = None,
-    prune: bool = True,
 ) -> CensusResult:
     """Count (and optionally list) every stable matching by depth-first
     search over perfect matchings.
 
     The search always matches the lowest-index unmatched agent next and
     discards any partial matching whose fully-decided pairs already contain
-    a blocking pair: such a pair blocks every extension.  ``limit`` raises
-    the default agent cap of 20.  ``prune=False`` runs the plain exhaustive
-    search (used to validate the pruning).
+    a blocking pair: such a pair blocks every extension, so every complete
+    matching it reaches is stable.  Matchings come out in the order of
+    ``matchings.iter_perfect_matchings``; the tests check the search
+    against that enumeration filtered by ``is_stable``.  ``limit`` raises
+    the default agent cap of 20.
     """
     cap = limit if limit is not None else ENUM_CAP
     if p.n > cap:
@@ -290,7 +291,6 @@ def enumerate_stable(
             "pass a higher limit to override"
         )
     n = p.n
-    rk = p.rank_matrix().tolist()
     partner = [-1] * n
     found: list[Matching] = []
     count = 0
@@ -314,30 +314,19 @@ def enumerate_stable(
     block = [[a | b for a, b in zip(r, c)] for r, c in zip(above, zip(*above))]
     flip = [[a ^ b for a, b in zip(r, c)] for r, c in zip(wanted, zip(*wanted))]
 
-    def full_check() -> bool:
-        for i in range(n):
-            ri = rk[i]
-            own = ri[partner[i]]
-            for j in range(i + 1, n):
-                if partner[i] != j and ri[j] < own and rk[j][i] < rk[j][partner[j]]:
-                    return False
-        return True
-
     def dfs(lowest: int, state: int) -> None:
         nonlocal count
         i = lowest
         while i < n and partner[i] != -1:
             i += 1
         if i == n:
-            # with pruning on, every decided pair was vetted on the way down
-            if prune or full_check():
-                count += 1
-                if materialize:
-                    found.append(Matching(tuple(partner)))
+            count += 1
+            if materialize:
+                found.append(Matching(tuple(partner)))
             return
         block_i, flip_i = block[i], flip[i]
         for j in range(i + 1, n):
-            if partner[j] != -1 or prune and state & block_i[j]:
+            if partner[j] != -1 or state & block_i[j]:
                 continue
             partner[i] = j
             partner[j] = i

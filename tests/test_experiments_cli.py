@@ -16,6 +16,7 @@ from roommates.experiments import (
     ConfigError,
     ExperimentConfig,
     _census_chunk,
+    _neighbor_is_stable,
     gpi_weighted_frequency,
     reference_with_cycles,
     run_conditional_census,
@@ -24,11 +25,11 @@ from roommates.experiments import (
     run_scaling,
     stable_single_cycle_neighbors,
 )
-from roommates.instances import RngStream
+from roommates.instances import InvalidInstanceError, RngStream
 from roommates.matchings import Matching, is_stable, single_cycle_neighbors
 from roommates.solvers import ENUM_CAP, ResourceCapError
 
-from conftest import profile_from_utilities_fast
+from conftest import profile_from_utilities_fast, reference_stability_masks
 
 
 def test_config_validation():
@@ -114,6 +115,37 @@ def test_stable_neighbor_search_matches_brute_force():
                             )
                         )
             assert found == brute
+
+
+def test_neighbor_is_stable_matches_double_loop():
+    # every single-cycle neighbour up to nu=3, stable or not, and the union
+    # of each vertex-disjoint pair of them, as the census's d3 check merges
+    gen = np.random.default_rng(37)
+    outcomes = set()
+    for n in (8, 10, 12):
+        m = Matching.consecutive(n)
+        diffs = [
+            {i: nb[i] for i in range(n) if nb[i] != m[i]}
+            for nu in (2, 3)
+            for nb in single_cycle_neighbors(m, nu)
+        ]
+        merged = [
+            {**a, **b}
+            for k, a in enumerate(diffs)
+            for b in diffs[k + 1 :]
+            if not a.keys() & b.keys()
+        ]
+        for _ in range(2):
+            X, _ = _conditional_x_batch(m, 1, gen)
+            U = _fill_conditional_pairs(m, X[0], gen)
+            for diff in diffs + merged:
+                partner = list(m.partner)
+                for i, j in diff.items():
+                    partner[i] = j
+                expected = reference_stability_masks(U[None], Matching(tuple(partner)))[0]
+                assert _neighbor_is_stable(U, X[0], diff) == expected, (n, diff)
+                outcomes.add(bool(expected))
+    assert outcomes == {True, False}
 
 
 # sha256 prefixes of every array _census_chunk returns, from the search
@@ -222,6 +254,30 @@ def test_reference_with_cycles():
         reference_with_cycles(6, [4, 4])
     with pytest.raises(ConfigError):
         reference_with_cycles(8, [3])
+
+
+def test_two_point_checks_agent_count_first(capsys):
+    # an odd n used to fail inside Matching.from_pairs: "pairs do not cover
+    # all agents"
+    message = "agent count must be an even integer >= 4, got 7"
+    with pytest.raises(InvalidInstanceError, match=message):
+        reference_with_cycles(7, [4])
+    assert main(["estimate", "two-point", "--n", "7", "--samples", "10", "--cycle", "4"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["estimate", "two-point", "--n", "12", "--samples", "10", "--cycles", "4,x"], "--cycles"),
+        (["scaling", "--n-grid", "4,x"], "--n-grid"),
+    ],
+)
+def test_bad_integer_list_names_its_flag(capsys, argv, flag):
+    # --cycles used to print int()'s "invalid literal for int() with base 10"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "invalid literal" not in err
 
 
 def test_gpi_weighted_frequency_small_n():
