@@ -14,12 +14,38 @@ import numpy as np
 _SERIES_THRESHOLD = 0.5
 _SERIES_ATOL = 1e-13
 _SERIES_MAX_ORDER = 96
+# Entries per row block of the batch kernels: the series' four float64
+# arrays of a block take 1 MB, 32 rows at n = 1000, and stay in a core's L2
+# cache (2^15 ran the series at n = 1000 ~10% faster than 2^14 or 2^16).
+_BLOCK_ENTRIES = 1 << 15
 
 
 def batch_sizes(total: int, size: int) -> list[int]:
     """Sizes of the consecutive batches of at most ``size`` that cover
     ``total`` draws, in draw order."""
     return [min(size, total - lo) for lo in range(0, total, size)]
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+def row_sums(f, X: np.ndarray) -> np.ndarray:
+    """``f(X).sum(axis=1)`` for an ``f`` that maps each row of a 2-D batch
+    alone, computed on cache-sized blocks of rows, bit for bit.
+
+    numpy sums the rows of a C-ordered array pairwise and those of an
+    F-ordered one (what a gather of columns gives) one column at a time,
+    but a single row always pairwise.  So every block holds two rows or
+    more unless the batch has one: the last block overlaps the one before
+    it instead of holding the remainder."""
+    rows = max(2, _block_rows(X.shape[1]))
+    last = max(len(X) - rows, 0)
+    out = np.empty(len(X))
+    for lo in range(0, len(X), rows):
+        lo = min(lo, last)
+        out[lo : lo + rows] = f(X[lo : lo + rows]).sum(axis=1)
+    return out
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -49,6 +75,29 @@ def pair_log1p_sum_exact(x: np.ndarray, skip_partner: np.ndarray | None = None) 
     return math.fsum(terms)
 
 
+def _power_series_rows(Xs: np.ndarray, k_min: int) -> tuple[np.ndarray, int]:
+    """The series -sum_k (p_k^2 - p_{2k}) / (2k) on each row of ``Xs``
+    (entries at most 0.5), run to the first order K >= ``k_min`` at which
+    every row's geometric tail bound is below 1e-13.  Returns the sums and
+    K."""
+    total = np.zeros(len(Xs))
+    tau2 = _SERIES_THRESHOLD**2
+    Xs2 = Xs * Xs
+    cur = Xs.copy()  # Xs^k
+    sq = Xs2.copy()  # Xs^{2k}
+    for k in range(1, _SERIES_MAX_ORDER + 1):
+        p_k = cur.sum(axis=1)
+        p_2k = sq.sum(axis=1)
+        total -= (p_k * p_k - p_2k) / (2.0 * k)
+        # later terms are at most p_k^2 tau^(2(k'-k)) / (2(k+1))
+        tail = p_k * p_k * tau2 / (2.0 * (k + 1) * (1.0 - tau2))
+        if k >= k_min and np.all(tail < _SERIES_ATOL):
+            return total, k
+        np.multiply(cur, Xs, out=cur)
+        np.multiply(sq, Xs2, out=sq)
+    raise RuntimeError("pair log-sum series failed to converge")
+
+
 def pair_log1p_sum_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise sum of log(1 - x_i x_j) over all unordered pairs.
 
@@ -57,32 +106,35 @@ def pair_log1p_sum_rows(X: np.ndarray) -> np.ndarray:
         sum_{i<j} log(1 - x_i x_j) = -sum_k (p_k^2 - p_{2k}) / (2k),
         p_k = sum_i x_i^k,
 
-    truncated once the geometric tail bound drops below 1e-13; rows with
-    larger entries get those coordinates' pairs corrected exactly.
+    truncated at the first order K at which every row's geometric tail
+    bound drops below 1e-13; rows with larger entries get those
+    coordinates' pairs corrected exactly.
+
+    The series runs on blocks of rows that fit in cache.  Each row's sums
+    do not depend on its block, so the output equals one pass over the
+    whole batch when every block stops at the batch's K: the first order
+    at which all blocks' bounds hold.  A block runs to at least the largest
+    order seen so far, and blocks that stopped below a later, larger one
+    run again; blocks go in decreasing order of their largest entry, which
+    sets the order, so that second run is rare.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     nrows, n = X.shape
     big = X > _SERIES_THRESHOLD
     has_big = big.any(axis=1)
-    Xs = np.where(big, 0.0, X)
 
-    total = np.zeros(nrows)
-    tau2 = _SERIES_THRESHOLD**2
-    Xs2 = Xs * Xs
-    cur = Xs.copy()  # Xs^k
-    sq = np.ones_like(Xs)  # Xs^{2k} after the in-loop multiply
-    for k in range(1, _SERIES_MAX_ORDER + 1):
-        p_k = cur.sum(axis=1)
-        sq = sq * Xs2
-        p_2k = sq.sum(axis=1)
-        total -= (p_k * p_k - p_2k) / (2.0 * k)
-        # later terms are at most p_k^2 tau^(2(k'-k)) / (2(k+1))
-        tail = p_k * p_k * tau2 / (2.0 * (k + 1) * (1.0 - tau2))
-        if np.all(tail < _SERIES_ATOL):
-            break
-        cur = cur * Xs
-    else:
-        raise RuntimeError("pair log-sum series failed to converge")
+    rows = _block_rows(n)
+    row_max = np.max(X, axis=1, where=~big, initial=0.0)
+    starts = sorted(range(0, nrows, rows), key=lambda lo: -row_max[lo : lo + rows].max())
+    total = np.empty(nrows)
+    order, ran = 1, dict.fromkeys(starts, 0)
+    while any(k < order for k in ran.values()):
+        for lo in starts:
+            if ran[lo] < order:
+                block = slice(lo, lo + rows)
+                Xs = np.where(big[block], 0.0, X[block])
+                total[block], ran[lo] = _power_series_rows(Xs, order)
+                order = ran[lo]
 
     for idx in np.nonzero(has_big)[0]:
         row = X[idx]
@@ -110,10 +162,10 @@ def matched_log1p_sum_rows(X: np.ndarray, partner) -> np.ndarray:
     """Row-wise sum of log(1 - x_i x_j) over the matched pairs only."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     idx = [(i, j) for i, j in enumerate(partner) if i < j]
-    left = X[:, [i for i, _ in idx]]
-    right = X[:, [j for _, j in idx]]
+    left = np.array([i for i, _ in idx], dtype=np.intp)
+    right = np.array([j for _, j in idx], dtype=np.intp)
     with np.errstate(divide="ignore"):
-        return np.log1p(-left * right).sum(axis=1)
+        return row_sums(lambda b: np.log1p(-b[:, left] * b[:, right]), X)
 
 
 def stability_log_rows(X: np.ndarray, partner) -> np.ndarray:

@@ -23,6 +23,7 @@ from ._numerics import (
     batch_sizes,
     ess_from_log_weights,
     pair_log1p_sum_exact,
+    row_sums,
     self_normalized_mean,
     stability_log_rows,
 )
@@ -217,7 +218,7 @@ def expected_count_log_weights(
     log_df = double_factorial(n - 1).log_value
     X = prop.sample(gen, (count, n))
     # this left-to-right order is part of the output bytes
-    return log_df + stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1)
+    return log_df + stability_log_rows(X, partner) - row_sums(prop.log_pdf, X)
 
 
 def estimate_expected_X(
@@ -289,7 +290,7 @@ def estimate_conditional_two_point(
     prop = _proposal(n, proposal_rate)
     partner = np.array(m.partner)
     verts = sorted(dec.vertex_set)
-    outside = np.array([i for i in range(n) if i not in dec.vertex_set])
+    outside = np.array([i for i in range(n) if i not in dec.vertex_set], dtype=np.intp)
     new_edges = [(i, j) for i, j in m1.pairs() if m[i] != j]
     vv_pairs = [
         (i, j)
@@ -303,7 +304,7 @@ def estimate_conditional_two_point(
     logw, log_r = [], []
     for b in batch_sizes(samples, batch_size):
         X = prop.sample(gen, (b, n))
-        logw.append(stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1))
+        logw.append(stability_log_rows(X, partner) - row_sums(prop.log_pdf, X))
 
         base = np.zeros(b)
         for i, j in new_edges:
@@ -361,7 +362,7 @@ def _conditional_x_batch(
     prop = _proposal(n, proposal_rate)
     partner = np.array(m.partner)
     X = prop.sample(gen, (count, n))
-    logw = stability_log_rows(X, partner) - prop.log_pdf(X).sum(axis=1)
+    logw = stability_log_rows(X, partner) - row_sums(prop.log_pdf, X)
     typical = np.full((1, n), 1.0 / prop.rate)
     shift = float(
         stability_log_rows(typical, partner)[0] - prop.log_pdf(typical).sum()

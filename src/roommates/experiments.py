@@ -206,14 +206,20 @@ def _random_pref_score(gen: np.random.Generator, n: int):
     return preference_rows(u, _block_width(n)), u
 
 
-def _check_scaling_memory(config: ExperimentConfig) -> None:
-    """Raise ResourceCapError, before any work, when the instances that the
-    run's workers hold at once do not fit in the host's physical memory.  An
-    instance peaks at its float64 utilities, the two n x n bool masks that
-    irving_decide builds its live table from, and the preference block."""
+# Peak bytes per entry of an ex-scaling batch (rows x n): the sampler's
+# three float64 arrays (the uniforms, their scaled copy and its log).  Peak
+# RSS of expected_count_log_weights at n = 1000 grew by 24.0 bytes per
+# entry from 4096 to 8192 rows and from 8192 to 16384 rows.
+_EX_BYTES_PER_ENTRY = 24
+
+
+def _check_memory(config: ExperimentConfig, worker_bytes) -> None:
+    """Raise ResourceCapError, before any work, when the run's workers,
+    each holding ``worker_bytes(n)`` at the largest n, do not fit in the
+    host's physical memory."""
     n = max(config.n_grid)
     workers = min(config.workers, config.chunks())
-    need = workers * (10 * n * n + 8 * n * _block_width(n))
+    need = workers * worker_bytes(n)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ResourceCapError(
@@ -284,7 +290,9 @@ def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
             mertens_prediction=MERTENS_COEFF * n ** -0.25,
         )
 
-    _check_scaling_memory(config)
+    # an instance peaks at its float64 utilities, the two n x n bool masks
+    # that irving_decide builds its live table from, and the preference block
+    _check_memory(config, lambda n: 10 * n * n + 8 * n * _block_width(n))
     return _run_grid(config, "scaling", _scaling_chunk, (), row)
 
 
@@ -315,6 +323,8 @@ def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
             degenerate=est.degenerate,
         )
 
+    rows = min(config.chunk_len(), config.samples)
+    _check_memory(config, lambda n: _EX_BYTES_PER_ENTRY * rows * n)
     return _run_grid(config, "ex-scaling", _ex_chunk, (config.proposal_rate,), row)
 
 

@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from roommates._numerics import pair_log1p_sum_exact, pair_log1p_sum_rows
+from roommates import _numerics
+from roommates._numerics import (
+    TruncatedExponential,
+    matched_log1p_sum_rows,
+    pair_log1p_sum_exact,
+    pair_log1p_sum_rows,
+    row_sums,
+)
 from roommates.estimators import (
     Estimate,
     PartnerUtilities,
@@ -21,7 +28,7 @@ from roommates.estimators import (
 from roommates.instances import RngStream
 from roommates.matchings import Matching, is_stable
 
-from conftest import reference_stability_masks, two_sided_z
+from conftest import reference_pair_log1p_sum_rows, reference_stability_masks, two_sided_z
 
 
 def test_partner_utilities_validation():
@@ -49,6 +56,61 @@ def test_pair_log_sums_batch_matches_exact():
         for r in range(12):
             exact = pair_log1p_sum_exact(X[r])
             assert abs(batch[r] - exact) <= 1e-10 * abs(exact) + 1e-12
+
+
+def test_blocked_batch_kernels_are_bitwise_whole_batch(monkeypatch):
+    runs = []
+    series = _numerics._power_series_rows
+    monkeypatch.setattr(
+        _numerics, "_power_series_rows", lambda Xs, k: runs.append(len(Xs)) or series(Xs, k)
+    )
+    rng = np.random.default_rng(11)
+
+    def check(X, recomputed=False):
+        runs.clear()
+        out = pair_log1p_sum_rows(X)
+        assert np.array_equal(out, reference_pair_log1p_sum_rows(X))
+        # a block runs twice only when a later one needs a higher order
+        assert (sum(runs) > len(X)) == recomputed
+        return out
+
+    n = 200
+    rows = _numerics._block_rows(n)
+
+    def base(count):
+        return rng.random((count, n)) * 0.05
+
+    check(base(1))
+    check(rng.random((1, 12)) * 0.5)
+    X = base(3 * rows + 5)  # the last block is short
+    check(X)
+    X[-1, 7] = 0.5  # the largest entry at or below 0.5, in the last block
+    check(X)
+    # one 0.45 in the first block stops it at a lower order than a hundred
+    # 0.44s in the second block need, so the first block runs again
+    X = base(2 * rows)
+    X[3, 10] = 0.45
+    X[rows + 2, :100] = 0.44
+    check(X, recomputed=True)
+    X[0, :3] = [0.7, 0.9, 0.6]  # entries above 0.5 take the exact correction
+    X[rows + 5, 50] = 0.95
+    X[1, [4, 9]] = 1.0  # a vanishing factor: -inf
+    out = check(X, recomputed=True)
+    assert out[1] == float("-inf") and np.isfinite(np.delete(out, 1)).all()
+    check(rng.random((3000, 12)) * 0.6)  # many rows per block at small n
+
+    # the blocked matched-pair and log-density row sums, on batches whose
+    # last block would hold a single row, summed pairwise unlike the rest
+    partner = np.array(Matching.consecutive(n).partner)
+    left, right = np.arange(0, n, 2).tolist(), np.arange(1, n, 2).tolist()
+    prop = TruncatedExponential(math.sqrt(n))
+    for count in (1, 2, 2 * rows + 1):
+        X = rng.random((count, n)) * 0.4
+        X[0, :2] = 1.0  # a matched factor of 0: log 0 = -inf
+        with np.errstate(divide="ignore"):
+            whole = np.log1p(-X[:, left] * X[:, right]).sum(axis=1)
+        assert np.array_equal(matched_log1p_sum_rows(X, partner), whole)
+        assert np.array_equal(row_sums(prop.log_pdf, X), prop.log_pdf(X).sum(axis=1))
 
 
 def test_stability_product_log_edge_cases():

@@ -266,6 +266,17 @@ def test_two_point_checks_agent_count_first(capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cycles", [["--cycles", "4,4"], ["--cycle", "8"]])
+def test_two_point_cycles_covering_every_agent(capsys, cycles):
+    # no agent lies outside the cycles: the empty index array of the
+    # outside agents used to be float and raised IndexError (exit 1)
+    argv = ["estimate", "two-point", "--n", "8", "--samples", "10", *cycles]
+    with pytest.warns(UserWarning, match="exceeds n"):
+        assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert math.isfinite(record["estimate"]) and record["estimate"] > 0
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -544,6 +555,18 @@ def test_scaling_beyond_physical_memory_fails_before_work(tmp_path):
     run = _cli(
         "scaling", "--n-grid", "4,1000000", "--replicates", "5", "--workers", "2",
         "--output", str(out),
+    )
+    assert run.returncode == 3 and "physical memory" in run.stderr
+    assert not out.exists()
+
+
+def test_ex_scaling_beyond_physical_memory_fails_before_work(tmp_path):
+    # 24 bytes per batch entry: 2 workers x 10^5 rows x 10^6 agents is
+    # about 4.8 TB on any host; the check runs before n = 4 does
+    out = tmp_path / "ex.csv"
+    run = _cli(
+        "ex-scaling", "--n-grid", "4,1000000", "--samples", "1000000", "--chunk-size",
+        "100000", "--workers", "2", "--output", str(out),
     )
     assert run.returncode == 3 and "physical memory" in run.stderr
     assert not out.exists()
