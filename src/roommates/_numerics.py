@@ -188,8 +188,13 @@ class TruncatedExponential:
         self._mass = -math.expm1(-rate)  # P(Exp(rate) <= 1)
 
     def sample(self, gen: np.random.Generator, size) -> np.ndarray:
-        u = gen.random(size)
-        return -np.log1p(-u * self._mass) / self.rate
+        """-log1p(-u * mass) / rate in the uniforms' own array, bit for bit:
+        negating the constants, not the array, keeps every sign."""
+        x = gen.random(size)
+        x *= -self._mass
+        np.log1p(x, out=x)
+        x /= -self.rate
+        return x
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         return math.log(self.rate) - self.rate * np.asarray(x) - math.log(self._mass)

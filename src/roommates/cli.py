@@ -28,7 +28,7 @@ from .experiments import (
     run_experiment,
 )
 from .exponent import tstar_closed_form, tstar_grid_search
-from .instances import RngStream, parse_instance
+from .instances import RngStream, check_agent_count, parse_instance
 from .matchings import Matching, symmetric_difference
 from .solvers import ResourceCapError, enumerate_stable, irving_solve
 
@@ -134,6 +134,7 @@ def _cmd_census_instance(args) -> int:
 
 def _cmd_counts(args) -> int:
     n = args.n
+    check_agent_count(n)
     df = double_factorial(n - 1)
     total = df.exact if df.exact is not None else math.exp(df.log_value)
     print(f"n = {n}: perfect matchings (n-1)!! = {total}")

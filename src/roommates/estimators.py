@@ -245,16 +245,6 @@ def estimate_expected_X(
     return Estimate.importance(logw)
 
 
-def _orientation_a_sides(dec) -> list[list[np.ndarray]]:
-    """Per-cycle choices of the improving side: each cycle alternates, so
-    the two parities of its canonical order are the only candidates."""
-    out = []
-    for cyc in dec.cycles:
-        arr = np.array(cyc)
-        out.append([arr[0::2], arr[1::2]])
-    return out
-
-
 def estimate_conditional_two_point(
     m: Matching,
     m1: Matching,
@@ -298,13 +288,16 @@ def estimate_conditional_two_point(
         for j in verts[ai + 1:]
         if m[i] != j and m1[i] != j
     ]
-    per_cycle = _orientation_a_sides(dec)
+    # each cycle alternates, so the two parities of its canonical order are
+    # the only candidates for its improving side
+    per_cycle = [(np.array(cyc[0::2]), np.array(cyc[1::2])) for cyc in dec.cycles]
 
     gen = rng.generator()
     logw, log_r = [], []
     for b in batch_sizes(samples, batch_size):
         X = prop.sample(gen, (b, n))
         logw.append(stability_log_rows(X, partner) - row_sums(prop.log_pdf, X))
+        xo = X[:, outside]
 
         base = np.zeros(b)
         for i, j in new_edges:
@@ -312,7 +305,7 @@ def estimate_conditional_two_point(
         orient_logs = []
         for choice in product(range(2), repeat=dec.mu):
             a_side = np.concatenate([per_cycle[c][bit] for c, bit in enumerate(choice)])
-            b_side = np.array([v for v in verts if v not in set(a_side.tolist())])
+            b_side = np.setdiff1d(verts, a_side)
             Y = X.copy()
             # improving side: uniform below x, weight x_i
             Y[:, a_side] = X[:, a_side] * gen.random((b, a_side.size))
@@ -323,7 +316,6 @@ def estimate_conditional_two_point(
             lr -= prop.log_pdf_shifted(yb, lo).sum(axis=1)
             # worsening side against the untouched agents
             for col, i in enumerate(b_side):
-                xo = X[:, outside]
                 lr += (
                     np.log1p(-yb[:, col : col + 1] * xo) - np.log1p(-X[:, i : i + 1] * xo)
                 ).sum(axis=1)

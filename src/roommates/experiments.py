@@ -32,7 +32,8 @@ from .estimators import (
     gpi_rows,
 )
 from .instances import (
-    RngStream, UtilityMatrix, check_agent_count, preference_rows, rank_from_utilities
+    InvalidInstanceError, RngStream, UtilityMatrix, check_agent_count, preference_rows,
+    rank_from_utilities,
 )
 from .matchings import Matching, blocking_mask
 from .solvers import ENUM_CAP, ResourceCapError, enumerate_stable, irving_decide
@@ -98,8 +99,12 @@ class ExperimentConfig:
         if type(self.n_grid) is not tuple or not self.n_grid:
             raise ConfigError(f"n_grid must be a nonempty tuple, got {self.n_grid!r}")
         for n in self.n_grid:
-            if type(n) is not int or n % 2 != 0 or n < 4:
-                raise ConfigError(f"n_grid values must be even ints >= 4, got {n!r}")
+            if type(n) is not int:
+                raise ConfigError(f"n_grid values must be ints, got {n!r}")
+            try:
+                check_agent_count(n)
+            except InvalidInstanceError as exc:
+                raise ConfigError(f"n_grid: {exc}") from None
             if n >= _N_LIMIT:
                 raise ConfigError(f"n values must be < 2**20 (seed-stream key), got {n}")
             if self.kind == "census" and self.nu_cap > n // 2:
@@ -206,11 +211,11 @@ def _random_pref_score(gen: np.random.Generator, n: int):
     return preference_rows(u, _block_width(n)), u
 
 
-# Peak bytes per entry of an ex-scaling batch (rows x n): the sampler's
-# three float64 arrays (the uniforms, their scaled copy and its log).  Peak
-# RSS of expected_count_log_weights at n = 1000 grew by 24.0 bytes per
+# Peak bytes per entry of an ex-scaling batch (rows x n): the draws' one
+# float64 array, transformed in place, and two bool masks of the series.
+# Peak RSS of expected_count_log_weights at n = 1000 grew by 10.0 bytes per
 # entry from 4096 to 8192 rows and from 8192 to 16384 rows.
-_EX_BYTES_PER_ENTRY = 24
+_EX_BYTES_PER_ENTRY = 10
 
 
 def _check_memory(config: ExperimentConfig, worker_bytes) -> None:

@@ -10,6 +10,7 @@ better, rank 0 is best).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -80,28 +81,47 @@ class UtilityMatrix:
         self.u.setflags(write=False)
 
 
+def _int_rows(rows, width: int) -> bool:
+    """Whether every row holds ``width`` entries of type int exactly (a bool
+    or a float is not one)."""
+    return set(map(len, rows)) == {width} and {int}.issuperset(
+        map(type, chain.from_iterable(rows))
+    )
+
+
 @dataclass(frozen=True)
 class PreferenceProfile:
     """Strict ranked preferences: ``ranks[i]`` lists the other agents, most
-    preferred first.  Agents are 0-indexed internally (1-indexed in files)."""
+    preferred first.  Agents are 0-indexed internally (1-indexed in files).
+    The rows are checked and kept as one read-only array, ``pref_matrix``."""
 
     n: int
     ranks: tuple[tuple[int, ...], ...]
+    _pref: np.ndarray = field(init=False, repr=False, compare=False)
     _position: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_agent_count(self.n)
-        if len(self.ranks) != self.n:
+        n = self.n
+        check_agent_count(n)
+        if len(self.ranks) != n:
             raise InvalidInstanceError("one ranking row required per agent")
-        pos = np.full((self.n, self.n), self.n, dtype=np.int32)
-        for i, row in enumerate(self.ranks):
-            if sorted(row) != [a for a in range(self.n) if a != i]:
-                raise InvalidInstanceError(
-                    f"agent {i}: ranking must be a permutation of the other agents"
-                )
-            for r, a in enumerate(row):
-                pos[i, a] = r
+        rows = self.ranks
+        if not _int_rows(rows, n - 1):  # a bad row becomes -1s: the check names it
+            rows = [row if _int_rows((row,), n - 1) else (-1,) * (n - 1) for row in rows]
+        pref = np.array(rows)  # int64, or object for ints beyond its range
+        cols = np.arange(n - 1)
+        agents = np.arange(n)[:, None]
+        bad = (np.sort(pref, axis=1) != cols + (cols >= agents)).any(axis=1)  # row i: all but i
+        if bad.any():
+            raise InvalidInstanceError(
+                f"agent {int(np.argmax(bad))}: ranking must be a permutation of the other agents"
+            )
+        pref = pref.astype(np.int32)
+        pos = np.full((n, n), n, dtype=np.int32)
+        pos[agents, pref] = cols
+        pref.setflags(write=False)
         pos.setflags(write=False)
+        object.__setattr__(self, "_pref", pref)
         object.__setattr__(self, "_position", pos)
 
     def rank_of(self, i: int, a: int) -> int:
@@ -114,8 +134,9 @@ class PreferenceProfile:
         return self.rank_of(i, a) < self.rank_of(i, b)
 
     def pref_matrix(self) -> np.ndarray:
-        """(n, n-1) int array of rankings, row i = agents in i's order."""
-        return np.asarray(self.ranks, dtype=np.int32)
+        """(n, n-1) read-only int array of rankings, row i = agents in i's
+        order."""
+        return self._pref
 
     def rank_matrix(self) -> np.ndarray:
         """(n, n) int array, entry (i, a) = rank of a in i's list; n on the
@@ -192,8 +213,10 @@ def parse_instance(text: str) -> PreferenceProfile:
         n = int(lines[0].strip())
     except ValueError:
         raise InstanceParseError(f"line 1: expected agent count, got {lines[0]!r}") from None
-    if n % 2 != 0 or n < 4:
-        raise InstanceParseError(f"line 1: agent count must be even and >= 4, got {n}")
+    try:
+        check_agent_count(n)
+    except InvalidInstanceError as exc:
+        raise InstanceParseError(f"line 1: {exc}") from None
     if len(lines) < n + 1:
         raise InstanceParseError(f"expected {n} ranking lines, found {len(lines) - 1}")
     rows: list[tuple[int, ...]] = []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roommates.instances import PreferenceProfile
+from roommates.instances import PreferenceProfile, UtilityMatrix, rank_from_utilities
 from roommates.matchings import Matching
 from roommates.solvers import enumerate_stable
 
@@ -54,17 +54,6 @@ def reference_stability_masks(U: np.ndarray, m: Matching) -> np.ndarray:
     return ok
 
 
-def profile_from_utilities_fast(U: np.ndarray) -> PreferenceProfile:
-    """Rank one (n, n) utility array (diagonal ignored) without the
-    UtilityMatrix validation overhead; test-side helper."""
-    n = U.shape[0]
-    rows = []
-    for i in range(n):
-        others = np.array([a for a in range(n) if a != i])
-        rows.append(tuple(int(a) for a in others[np.argsort(U[i, others])]))
-    return PreferenceProfile(n, tuple(rows))
-
-
 @pytest.fixture(scope="session")
 def rejection_oracle_8():
     """Instances of size 8 drawn uniformly and kept when the reference
@@ -89,7 +78,7 @@ def rejection_oracle_8():
     for k, Uk in enumerate(kept):
         Un = Uk.copy()
         np.fill_diagonal(Un, np.nan)
-        profile = profile_from_utilities_fast(Un)
+        profile = rank_from_utilities(UtilityMatrix(n, Un))
         counts[k] = enumerate_stable(profile, materialize=False).X
         for nu, _ in stable_single_cycle_neighbors(Un, m, 3):
             xcirc[k, nu - 2] += 1

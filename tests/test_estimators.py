@@ -162,32 +162,24 @@ def test_two_point_kernel_orientation_and_agreement_checks():
         two_point_kernel_log(x, PartnerUtilities(np.full(8, 0.5), Matching.consecutive(8)))
 
 
-def test_two_point_kernel_integral_matches_joint_stability():
-    # two routes to P(both matchings stable) at n=6: plain Monte Carlo over
-    # random instances, and plain Monte Carlo integration of the kernel
+def _kernel_draws(gen, B):
+    """B draws of x and y at n=6 for the one 4-cycle (0, 1, 3, 2) between m
+    and m1: y redraws x on the cycle.  Returns both references, the draws,
+    whether each row alternates around the cycle, and the kernel as an
+    inline product over the pairs outside both matchings."""
     n = 6
     m = Matching.consecutive(n)
     m1 = Matching.from_pairs(n, [(0, 2), (1, 3), (4, 5)])
     diff = [0, 1, 2, 3]
-    gen = np.random.default_rng(909)
-
-    B1 = 4_000_000
-    U = gen.random((B1, n, n))
-    joint = reference_stability_masks(U, m) & reference_stability_masks(U, m1)
-    p_direct = joint.mean()
-    se_direct = math.sqrt(p_direct * (1 - p_direct) / B1)
-
-    B2 = 4_000_000
-    x = gen.random((B2, n))
+    x = gen.random((B, n))
     y = x.copy()
-    y[:, diff] = gen.random((B2, len(diff)))
-    # alternation around the difference cycle (0, 1, 3, 2)
+    y[:, diff] = gen.random((B, len(diff)))
     s0 = y[:, 0] < x[:, 0]
     s1 = y[:, 1] < x[:, 1]
     s3 = y[:, 3] < x[:, 3]
     s2 = y[:, 2] < x[:, 2]
     alternating = (s0 != s1) & (s1 != s3) & (s3 != s2) & (s2 != s0)
-    kernel = np.ones(B2)
+    kernel = np.ones(B)
     for i in range(n):
         for j in range(i + 1, n):
             if m[i] == j or m1[i] == j:
@@ -198,10 +190,53 @@ def test_two_point_kernel_integral_matches_joint_stability():
                 - y[:, i] * y[:, j]
                 + np.minimum(x[:, i], y[:, i]) * np.minimum(x[:, j], y[:, j])
             )
+    return m, m1, x, y, alternating, kernel
+
+
+def test_two_point_kernel_integral_matches_joint_stability():
+    # two routes to P(both matchings stable) at n=6: plain Monte Carlo over
+    # random instances, and plain Monte Carlo integration of the kernel
+    n = 6
+    m = Matching.consecutive(n)
+    m1 = Matching.from_pairs(n, [(0, 2), (1, 3), (4, 5)])
+    gen = np.random.default_rng(909)
+
+    B1 = 4_000_000
+    U = gen.random((B1, n, n))
+    joint = reference_stability_masks(U, m) & reference_stability_masks(U, m1)
+    p_direct = joint.mean()
+    se_direct = math.sqrt(p_direct * (1 - p_direct) / B1)
+
+    B2 = 4_000_000
+    _, _, _, _, alternating, kernel = _kernel_draws(gen, B2)
     vals = kernel * alternating
     p_kernel = vals.mean()
     se_kernel = vals.std() / math.sqrt(B2)
     assert abs(two_sided_z(p_direct, se_direct, p_kernel, se_kernel)) <= 3.0
+
+
+def test_two_point_kernel_log_matches_inline_product():
+    # two_point_kernel_log on the draws the integral above averages: the log
+    # of the inline product where the cycle alternates, None where not
+    m, m1, x, y, alternating, kernel = _kernel_draws(np.random.default_rng(910), 3000)
+    assert 0 < alternating.sum() < len(x)
+    for xr, yr, alt, k in zip(x, y, alternating, kernel):
+        got = two_point_kernel_log(PartnerUtilities(xr, m), PartnerUtilities(yr, m1))
+        if alt:
+            assert math.isclose(got, math.log(k), rel_tol=1e-12)
+        else:
+            assert got is None
+
+
+@pytest.mark.parametrize("shape", [(1, 1000), (37, 101), (8192, 1000)])
+def test_truncated_exponential_draws_in_place(shape):
+    # the in-place transform equals the expression it replaced, bit for bit
+    # and sign bit for sign bit
+    prop = TruncatedExponential(math.sqrt(shape[1]))
+    got = prop.sample(RngStream(21, 4).generator(), shape)
+    u = RngStream(21, 4).generator().random(shape)
+    want = -np.log1p(-u * -math.expm1(-prop.rate)) / prop.rate
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_expected_count_estimator_against_exact_oracle():

@@ -25,11 +25,13 @@ from roommates.experiments import (
     run_scaling,
     stable_single_cycle_neighbors,
 )
-from roommates.instances import InvalidInstanceError, RngStream
+from roommates.instances import (
+    InvalidInstanceError, RngStream, UtilityMatrix, rank_from_utilities
+)
 from roommates.matchings import Matching, is_stable, single_cycle_neighbors
 from roommates.solvers import ENUM_CAP, ResourceCapError
 
-from conftest import profile_from_utilities_fast, reference_stability_masks
+from conftest import reference_stability_masks
 
 
 def test_config_validation():
@@ -97,7 +99,7 @@ def test_stable_neighbor_search_matches_brute_force():
         for _ in range(40):
             X, _ = _conditional_x_batch(m, 1, gen)
             U = _fill_conditional_pairs(m, X[0], gen)
-            profile = profile_from_utilities_fast(U)
+            profile = rank_from_utilities(UtilityMatrix(n, U))
             assert is_stable(profile, m)
             found = {
                 tuple(sorted(d.items()))
@@ -349,6 +351,16 @@ def test_cli_counts_and_tstar():
     assert abs(record["t_star"] - 0.060766) <= 1e-5
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_cli_counts_checks_agent_count_first(capsys, n):
+    # --n 2 used to print an empty table with exit 0, and --n 5 a header and
+    # then the double factorial's complaint about 4
+    assert main(["counts", "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"agent count must be an even integer >= 4, got {n}" in err
+
+
 def test_cli_estimate_json_record():
     run = _cli("estimate", "ex", "--n", "10", "--samples", "2000", "--seed", "3")
     assert run.returncode == 0
@@ -561,8 +573,8 @@ def test_scaling_beyond_physical_memory_fails_before_work(tmp_path):
 
 
 def test_ex_scaling_beyond_physical_memory_fails_before_work(tmp_path):
-    # 24 bytes per batch entry: 2 workers x 10^5 rows x 10^6 agents is
-    # about 4.8 TB on any host; the check runs before n = 4 does
+    # 10 bytes per batch entry: 2 workers x 10^5 rows x 10^6 agents is
+    # about 2 TB on any host; the check runs before n = 4 does
     out = tmp_path / "ex.csv"
     run = _cli(
         "ex-scaling", "--n-grid", "4,1000000", "--samples", "1000000", "--chunk-size",

@@ -187,6 +187,38 @@ def test_profile_validation():
         PreferenceProfile(4, ((1, 2, 2), (2, 0, 3), (0, 1, 3), (0, 1, 2)))
     with pytest.raises(ValueError):
         PreferenceProfile(4, ((1, 2, 3),) * 4).rank_of(0, 0)
+    good = ((1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2))
+    for agent, row in [
+        (0, (1.0, 2, 3)),  # a float entry used to die in numpy's indexing
+        (2, (False, True, 3)),  # bools are not agents, though 0 == False
+        (3, (0, 1)),  # short
+        (1, (2, 0, 3, 1)),  # long
+        (3, (0, 0, 2)),  # repeated agent
+        (2, (0, 2, 3)),  # the agent itself
+        (3, (0, 1, 4)),  # out of range
+        (0, (-1, 2, 3)),  # negative
+        (1, (2, 0, 2**70)),  # beyond int64
+    ]:
+        ranks = good[:agent] + (row,) + good[agent + 1 :]
+        with pytest.raises(InvalidInstanceError, match=f"^agent {agent}: ranking"):
+            PreferenceProfile(4, ranks)
+    # the first bad agent is named whichever check its row fails
+    with pytest.raises(InvalidInstanceError, match="^agent 1:"):
+        PreferenceProfile(4, ((1, 2, 3), (2, 0, 0), (0, 1, 3), (0, 1)))
+
+
+def test_profile_arrays_match_rows():
+    gen = np.random.default_rng(17)
+    for seed in range(300):
+        n = 2 * int(gen.integers(2, 101))
+        p = sample_profile(n, RngStream(seed, 3))
+        pref, pos = p.pref_matrix(), p.rank_matrix()
+        assert pref.dtype == pos.dtype == np.int32
+        assert not pref.flags.writeable and not pos.flags.writeable
+        assert pref.tolist() == [list(row) for row in p.ranks]
+        # rank_matrix inverts each row and holds n on the diagonal
+        assert (np.take_along_axis(pos, pref, axis=1) == np.arange(n - 1)).all()
+        assert (np.diag(pos) == n).all()
 
 
 def test_utility_matrix_rejects_bad_diagonal_and_nan():
