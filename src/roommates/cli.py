@@ -3,7 +3,8 @@
 Experiment subcommands (scaling, census, ex-scaling) read an optional JSON
 config file; explicit flags override file values.  They write a data CSV
 plus a JSON sidecar.  Estimator subcommands print a single JSON record to
-stdout.  Exit codes: 0 success, 2 config error, 3 resource cap, 4 I/O.
+stdout.  Exit codes: 0 success, 2 config or instance error, 3 resource cap
+or a dead worker process, 4 I/O; a library fault is a traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ import json
 import math
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 from .combinatorics import double_factorial, single_cycle_count
-from .estimators import (
-    estimate_conditional_two_point,
-    estimate_expected_X,
-)
+from .estimators import EX_MIN_SAMPLES, estimate_conditional_two_point, estimate_expected_X
 from .experiments import (
     KINDS,
     ConfigError,
@@ -28,7 +27,8 @@ from .experiments import (
     run_experiment,
 )
 from .exponent import tstar_closed_form, tstar_grid_search
-from .instances import RngStream, check_agent_count, parse_instance
+from .instances import (InstanceParseError, InvalidInstanceError, RngStream, TieError,
+                        check_agent_count, parse_instance)
 from .matchings import Matching, symmetric_difference
 from .solvers import ResourceCapError, enumerate_stable, irving_solve
 
@@ -165,6 +165,8 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_tstar(args) -> int:
+    if args.grid is not None and not 0 < args.grid < math.inf:
+        raise ConfigError(f"--grid must be positive and finite, got {args.grid}")
     sol = tstar_closed_form()
     record = {
         "s": sol.s,
@@ -187,6 +189,11 @@ def _cmd_tstar(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    floor = EX_MIN_SAMPLES if args.target == "ex" else 1
+    if args.samples < floor:
+        raise ConfigError(f"--samples must be >= {floor}, got {args.samples}")
+    if args.proposal_rate is not None and not 0 < args.proposal_rate < math.inf:
+        raise ConfigError(f"--proposal-rate must be positive and finite, got {args.proposal_rate}")
     t0 = time.perf_counter()
     rng = RngStream(args.seed)
     if args.target == "ex":
@@ -265,11 +272,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # ConfigError and the instance errors included
+    except (ConfigError, InvalidInstanceError, InstanceParseError, TieError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool:
+        print("error: a worker process died, most often killed for lack of memory; "
+              "rerun with fewer --workers or a smaller --chunk-size", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

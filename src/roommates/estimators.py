@@ -221,6 +221,9 @@ def expected_count_log_weights(
     return log_df + stability_log_rows(X, partner) - row_sums(prop.log_pdf, X)
 
 
+EX_MIN_SAMPLES = 1000  # fewest samples estimate_expected_X accepts
+
+
 def estimate_expected_X(
     n: int,
     samples: int,
@@ -237,8 +240,8 @@ def estimate_expected_X(
     the estimator stays non-degenerate across the whole n grid.
     """
     check_agent_count(n)
-    if samples < 1000:
-        raise ValueError("at least 1000 samples required")
+    if samples < EX_MIN_SAMPLES:
+        raise ValueError(f"at least {EX_MIN_SAMPLES} samples required")
     gen = rng.generator()
     batches = batch_sizes(samples, batch_size)
     logw = np.concatenate([expected_count_log_weights(n, b, gen, proposal_rate) for b in batches])

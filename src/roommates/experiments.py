@@ -19,6 +19,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -388,21 +389,19 @@ def stable_single_cycle_neighbors(
     covet = [cv[off[b] : off[b + 1]] for b in range(n)]
     # cands[b]: admirers a2 that b would take only as a worse partner, in
     # ascending index, as (a2, U[b, a2], U[a2, b], partner of a2, rank of a2
-    # in covet[b]); keys[b] holds their indices for the bisection on a1
+    # in covet[b])
     keep = ub > x[bs]
     bs, js = bs[keep], js[keep]
     coff = np.searchsorted(bs, np.arange(n + 1)).tolist()
-    a2s = js.tolist()
-    cl = list(zip(a2s, ub[keep].tolist(), U[js, bs].tolist(), p_arr[js].tolist(),
+    cl = list(zip(js.tolist(), ub[keep].tolist(), U[js, bs].tolist(), p_arr[js].tolist(),
                   rank[keep].tolist()))
     cands = [cl[coff[b] : coff[b + 1]] for b in range(n)]
-    keys = [a2s[coff[b] : coff[b + 1]] for b in range(n)]
     Ul = U.tolist()
     xl = x.tolist()
     out: list[tuple[int, dict[int, int]]] = []
     used = [False] * n
-    path: list[tuple[int, float]] = []  # committed vertices and their new utilities
-    new_partner: dict[int, int] = {}
+    # committed vertices and their new utilities, step i's (b, a2) at 2i, 2i + 1
+    path: list[tuple[int, float]] = []
     nodes = 0
 
     def extend(a1: int, b: int, depth: int) -> None:
@@ -435,7 +434,7 @@ def stable_single_cycle_neighbors(
                             witness = True
                             break
                 if not witness:
-                    cand = dict(new_partner)
+                    cand = {v: path[i ^ 1][0] for i, (v, _) in enumerate(path)}
                     cand[b] = a1
                     cand[a1] = b
                     if _neighbor_is_stable(U, x, cand):
@@ -444,7 +443,7 @@ def stable_single_cycle_neighbors(
             return
         budget = nu_cap - depth - 1
         xa1 = xl[a1]
-        for a2, yb, ya, b2, r in cands[b][bisect_right(keys[b], a1) :]:
+        for a2, yb, ya, b2, r in cands[b][bisect_right(cands[b], a1, key=itemgetter(0)) :]:
             if used[a2]:
                 continue
             if budget == 0 and not (Ul[b2][a1] > xl[b2] and Ua1[b2] < xa1):
@@ -477,10 +476,7 @@ def stable_single_cycle_neighbors(
             used[a2] = used[b2] = True
             path.append((b, yb))
             path.append((a2, ya))
-            new_partner[b] = a2
-            new_partner[a2] = b
             extend(a1, b2, depth + 1)
-            del new_partner[b], new_partner[a2]
             del path[-2:]
             used[a2] = used[b2] = False
 
@@ -509,19 +505,15 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
         found = stable_single_cycle_neighbors(U, m, nu_cap)
         for nu, _ in found:
             xcirc[k, nu - 2] += 1
-        if len(found) >= 2:
-            vsets = [frozenset(np_map) for _, np_map in found]
-            for a in range(len(found)):
-                for b in range(a + 1, len(found)):
-                    if vsets[a] & vsets[b]:
-                        d1[k] = True
-                    else:
-                        disjoint_pairs[k] += 1
-                        merged = dict(found[a][1])
-                        merged.update(found[b][1])
-                        if not _neighbor_is_stable(U, X[k], merged):
-                            d3[k] = True
-                            failing_pairs[k] += 1
+        for a, (_, first) in enumerate(found):
+            for _, second in found[a + 1 :]:
+                if not first.keys().isdisjoint(second):
+                    d1[k] = True
+                else:
+                    disjoint_pairs[k] += 1
+                    if not _neighbor_is_stable(U, X[k], first | second):
+                        d3[k] = True
+                        failing_pairs[k] += 1
         if n <= enum_cap:
             profile = rank_from_utilities(UtilityMatrix(n, U))
             full_X[k] = enumerate_stable(profile, materialize=False).X

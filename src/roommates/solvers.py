@@ -148,7 +148,6 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
     fp = off[:n]  # phase 1 leaves each agent's first live entry at its offset
     sp = off[:n]  # no live entry lies strictly between fp and sp
     worst_pos = [o - 1 for o in off[1:]]  # last admissible index: the held proposal
-    lp = list(worst_pos)  # last live index
 
     def first_alive(i):
         pos = fp[i]
@@ -178,18 +177,6 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
         sp[i] = pos
         return -1
 
-    def last_alive(i):
-        pos = min(lp[i], worst_pos[i])
-        lo = off[i]
-        while pos >= lo:
-            z = L[pos]
-            if R[pos] <= ws[z]:
-                lp[i] = pos
-                return z
-            pos -= 1
-        lp[i] = pos
-        return -1
-
     rotations = 0
     p0 = 0
     # The rotation search walks x -> last(second(x)) and keeps its path in
@@ -215,7 +202,10 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
         if q < 0:  # the tail lost its second entry to the last elimination
             at[seq.pop()] = -1
             continue
-        nxt_x = last_alive(q)
+        # In a stable table y is first on x's list iff x is last on y's
+        # (Gusfield & Irving 1989, sec. 4.2), so q's last live entry is the
+        # proposal it holds.
+        nxt_x = L[worst_pos[q]]
         k = at[nxt_x]
         if k < 0:
             at[nxt_x] = len(seq)

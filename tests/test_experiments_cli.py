@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roommates import experiments
+from roommates import cli, experiments
 from roommates.cli import main
 from roommates.estimators import _conditional_x_batch, _fill_conditional_pairs
 from roommates.experiments import (
@@ -117,6 +117,32 @@ def test_stable_neighbor_search_matches_brute_force():
                             )
                         )
             assert found == brute
+
+
+# (n, nu_cap): samples, and a digest of the lists that
+# stable_single_cycle_neighbors returned on them, in the order found, with
+# each new-partner map as its sorted items.  The brute-force comparison
+# above sees sets only, and the census chunk pins see counts only.
+_PINNED_NEIGHBOR_LISTS = {
+    (20, 8): (32, "959da89e8b7643e0"),
+    (50, 5): (32, "7ba4250983fcc578"),
+    (200, 5): (16, "8aaf091491bf4a06"),
+}
+
+
+@pytest.mark.parametrize("n, nu_cap", list(_PINNED_NEIGHBOR_LISTS))
+def test_stable_neighbor_search_order_pinned(n, nu_cap):
+    samples, pinned = _PINNED_NEIGHBOR_LISTS[n, nu_cap]
+    gen = np.random.default_rng(4100 + n)
+    m = Matching.consecutive(n)
+    X, _ = _conditional_x_batch(m, samples, gen)
+    lists = []
+    for k in range(samples):
+        U = _fill_conditional_pairs(m, X[k], gen)
+        found = stable_single_cycle_neighbors(U, m, nu_cap)
+        lists.append([(nu, sorted(d.items())) for nu, d in found])
+    assert sum(len(found) >= 2 for found in lists) >= 5  # the order is seen
+    assert hashlib.sha256(repr(lists).encode()).hexdigest()[:16] == pinned
 
 
 def test_neighbor_is_stable_matches_double_loop():
@@ -392,6 +418,47 @@ def test_cli_exit_codes(tmp_path):
     )
     missing = _cli("solve", str(tmp_path / "missing.txt"))
     assert missing.returncode == 4
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["estimate", "ex", "--n", "10", "--samples", "500"], "--samples"),
+        (["tstar", "--grid", "0"], "--grid"),
+    ],
+)
+def test_bad_estimate_and_grid_values_name_their_flag(capsys, argv, flag):
+    # these used to reach exit 2 only as ValueErrors of the library, which
+    # named no flag
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_library_value_error_is_not_a_config_error(monkeypatch):
+    # a ValueError from inside the library is a fault, not a bad input; it
+    # used to exit 2 like a config error
+    def fault(*args, **kwargs):
+        raise ValueError("fault inside the library")
+
+    monkeypatch.setattr(cli, "estimate_expected_X", fault)
+    with pytest.raises(ValueError, match="fault inside the library"):
+        main(["estimate", "ex", "--n", "10", "--samples", "1000"])
+
+
+def _dead_worker(args):
+    os._exit(1)
+
+
+def test_dead_worker_exits_3(tmp_path, monkeypatch, capsys):
+    # a killed pool worker used to escape main as BrokenProcessPool; the
+    # forked workers inherit the patched chunk function
+    monkeypatch.setattr(experiments, "_scaling_chunk", _dead_worker)
+    out = tmp_path / "s.csv"
+    argv = ["scaling", "--n-grid", "4", "--replicates", "4", "--chunk-size", "2",
+            "--workers", "2", "--output", str(out)]
+    assert main(argv) == 3
+    assert "worker process died" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -121,21 +123,37 @@ _PINNED_PROPOSALS = {
     100: (239, 226, 236, 191, 277, 211, 238, 222, 217, 232, 204, 214),
     300: (684, 754, 810, 671, 766, 670, 839, 715, 737, 807, 678, 761),
 }
+# Phase 2 per instance: the rotations eliminated and a digest of the
+# returned partner lists (None where none exists), as the solver computed
+# them when its rotation walk still scanned each list for its last live
+# entry.  Existence alone would let phase 2 return another stable matching.
+_PINNED_ROTATIONS = {
+    50: (2, 4, 8, 9, 5, 2, 8, 0, 4, 9, 5, 8),
+    100: (7, 10, 11, 19, 3, 12, 11, 10, 8, 13, 12, 19),
+    300: (31, 33, 21, 34, 24, 30, 14, 28, 27, 23, 27, 23),
+}
+_PINNED_PARTNERS = {50: "c45d092deffa5079", 100: "4ac36fbbb408384a", 300: "05bf963574001994"}
 
 
 @pytest.mark.parametrize("n", sorted(_PINNED_FOUND))
 def test_irving_decide_pinned_and_stable(n):
     multi_rotation_found = 0
-    for r, (bit, pinned) in enumerate(zip(_PINNED_FOUND[n], _PINNED_PROPOSALS[n])):
+    partners = []
+    pins = zip(_PINNED_FOUND[n], _PINNED_PROPOSALS[n], _PINNED_ROTATIONS[n])
+    for r, (bit, pinned, pinned_rotations) in enumerate(pins):
         pref, score = _random_pref_score(RngStream(2024 + n, r).generator(), n)
         partner, proposals, rotations = irving_decide(pref, score)
+        partners.append(partner)
         assert proposals == pinned
+        assert rotations == pinned_rotations
         assert (partner is not None) == (bit == "1")
         if partner is not None:
             profile = PreferenceProfile(n, tuple(map(tuple, preference_rows(score).tolist())))
             assert is_stable(profile, Matching(tuple(partner)))
             multi_rotation_found += rotations >= 2
     assert multi_rotation_found >= 3
+    digest = hashlib.sha256(json.dumps(partners).encode()).hexdigest()[:16]
+    assert digest == _PINNED_PARTNERS[n]
 
 
 @pytest.mark.parametrize("n", [50, 100, 300])
