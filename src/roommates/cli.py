@@ -123,6 +123,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_census_instance(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     with open(args.instance, "r", encoding="utf-8") as fh:
         profile = parse_instance(fh.read())
     census = enumerate_stable(profile, limit=args.limit)
@@ -201,12 +203,9 @@ def _cmd_estimate(args) -> int:
             args.n, args.samples, rng, proposal_rate=args.proposal_rate
         )
     elif args.target == "two-point":
-        if args.cycles:
-            lengths = list(_parse_ints(args.cycles, "--cycles"))
-        elif args.cycle:
-            lengths = [args.cycle]
-        else:
-            raise ConfigError("two-point needs --cycle LEN or --cycles L1,L2,...")
+        if not args.cycles:
+            raise ConfigError("two-point needs --cycles L1,L2,... (or --cycle LEN)")
+        lengths = list(_parse_ints(",".join(args.cycles), "--cycles"))
         m, m1 = reference_with_cycles(args.n, lengths)
         est = estimate_conditional_two_point(
             m, m1, args.samples, rng, proposal_rate=args.proposal_rate
@@ -252,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         tp.add_argument("--seed", type=int, default=0)
         tp.add_argument("--proposal-rate", type=float)
         if target == "two-point":
-            tp.add_argument("--cycle", type=int, help="single cycle length (even, >= 4)")
-            tp.add_argument("--cycles", help="comma-separated cycle lengths")
+            tp.add_argument("--cycles", "--cycle", action="append",
+                            help="comma-separated cycle lengths (even, >= 4); repeats join")
     return parser
 
 

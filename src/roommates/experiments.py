@@ -32,10 +32,7 @@ from .estimators import (
     expected_count_log_weights,
     gpi_rows,
 )
-from .instances import (
-    InvalidInstanceError, RngStream, UtilityMatrix, check_agent_count, preference_rows,
-    rank_from_utilities,
-)
+from .instances import InvalidInstanceError, RngStream, check_agent_count, preference_rows
 from .matchings import Matching, blocking_mask
 from .solvers import ENUM_CAP, ResourceCapError, enumerate_stable, irving_decide
 
@@ -217,6 +214,13 @@ def _random_pref_score(gen: np.random.Generator, n: int):
 # Peak RSS of expected_count_log_weights at n = 1000 grew by 10.0 bytes per
 # entry from 4096 to 8192 rows and from 8192 to 16384 rows.
 _EX_BYTES_PER_ENTRY = 10
+# Peak bytes per n^2 of one census sample: its utilities, their list copy in
+# the neighbour search, and the fill's pair indices.  Peak RSS of one sample
+# at nu_cap 5 was 60, 57, 56 and 55 bytes per n^2 at n = 1000, 2000, 3000 and
+# 4000, and grew by 53 per n^2 from 3000 to 4000.  The census check adds the
+# X batch at ex-scaling's _EX_BYTES_PER_ENTRY, not measured on the census, as
+# if both peaks coincided: an upper bound.
+_CENSUS_BYTES_PER_N2 = 60
 
 
 def _check_memory(config: ExperimentConfig, worker_bytes) -> None:
@@ -515,8 +519,7 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
                         d3[k] = True
                         failing_pairs[k] += 1
         if n <= enum_cap:
-            profile = rank_from_utilities(UtilityMatrix(n, U))
-            full_X[k] = enumerate_stable(profile, materialize=False).X
+            full_X[k] = enumerate_stable(U, materialize=False).X
     return {
         "logw": logw,
         "xcirc": xcirc,
@@ -565,6 +568,8 @@ def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRo
             gpi_rate=wmean(c["gpi"]),
         )
 
+    rows = min(config.chunk_len(), config.samples)
+    _check_memory(config, lambda n: _CENSUS_BYTES_PER_N2 * n * n + _EX_BYTES_PER_ENTRY * rows * n)
     extra = (config.proposal_rate, config.nu_cap, config.enum_cap)
     return _run_grid(config, "census", _census_chunk, extra, row)
 

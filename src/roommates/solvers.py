@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import PreferenceProfile, preference_rows
+from .instances import InvalidInstanceError, PreferenceProfile, check_agent_count, preference_rows
 from .matchings import Matching, symmetric_difference
 
 
@@ -257,7 +257,7 @@ ENUM_CAP = 20  # default agent cap of enumerate_stable
 
 
 def enumerate_stable(
-    p: PreferenceProfile,
+    p: PreferenceProfile | np.ndarray,
     limit: int | None = None,
     *,
     materialize: bool = True,
@@ -271,16 +271,26 @@ def enumerate_stable(
     a blocking pair: such a pair blocks every extension, so every complete
     matching it reaches is stable.  Matchings come out in the order of
     ``matchings.iter_perfect_matchings``; the tests check the search
-    against that enumeration filtered by ``is_stable``.  ``limit`` raises
-    the default agent cap of 20.
+    against that enumeration filtered by ``is_stable``.  ``p`` is a profile
+    or an (n, n) score matrix as ``irving_decide`` takes it, with no ties or
+    NaN off the diagonal (unchecked).  ``limit`` (>= 1) replaces the cap of 20.
     """
     cap = limit if limit is not None else ENUM_CAP
-    if p.n > cap:
+    if cap < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    p = p.rank_matrix() if isinstance(p, PreferenceProfile) else p
+    n = len(p)
+    if p.shape != (n, n):
+        raise InvalidInstanceError(f"score matrix must be square, got shape {p.shape}")
+    check_agent_count(n)
+    if n > cap:
         raise ResourceCapError(
-            f"enumeration over {p.n} agents exceeds the cap of {cap}; "
+            f"enumeration over {n} agents exceeds the cap of {cap}; "
             "pass a higher limit to override"
         )
-    n = p.n
+    pref = preference_rows(p)
+    if (pref == np.arange(n)[:, None]).any():
+        raise InvalidInstanceError("a score matrix must rank each agent last in its own row")
     partner = [-1] * n
     found: list[Matching] = []
     count = 0
@@ -294,7 +304,7 @@ def enumerate_stable(
     # v * n + j of the v that j ranks above i.
     above = [[0] * n for _ in range(n)]
     wanted = [[0] * n for _ in range(n)]
-    for i, row in enumerate(p.ranks):
+    for i, row in enumerate(pref.tolist()):
         a_mask = v_mask = 0
         for a in row:
             above[i][a] = a_mask

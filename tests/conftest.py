@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from roommates.instances import PreferenceProfile, UtilityMatrix, rank_from_utilities
+from roommates.estimators import exact_small_integral
+from roommates.instances import PreferenceProfile
 from roommates.matchings import Matching
 from roommates.solvers import enumerate_stable
 
@@ -78,11 +79,18 @@ def rejection_oracle_8():
     for k, Uk in enumerate(kept):
         Un = Uk.copy()
         np.fill_diagonal(Un, np.nan)
-        profile = rank_from_utilities(UtilityMatrix(n, Un))
-        counts[k] = enumerate_stable(profile, materialize=False).X
+        counts[k] = enumerate_stable(Un, materialize=False).X
         for nu, _ in stable_single_cycle_neighbors(Un, m, 3):
             xcirc[k, nu - 2] += 1
     return {"n": n, "draws": total, "U": kept, "X": counts, "xcirc": xcirc}
+
+
+@pytest.fixture(scope="session")
+def exact_expected_count_10() -> float:
+    """E[X] at n=10 from the exact rational integral: (n-1)!! = 945 perfect
+    matchings times one matching's stability probability.  It takes seconds,
+    so the tests that compare an estimate with it share one computation."""
+    return 945.0 * float(exact_small_integral(Matching.consecutive(10)))
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from roommates.estimators import (
     check_gpi,
     estimate_conditional_two_point,
     estimate_expected_X,
-    exact_small_integral,
 )
 from roommates.experiments import (
     ExperimentConfig,
@@ -116,8 +115,8 @@ def test_c03_overlap_bound_one_sided():
     )
 
 
-def test_c04_expected_count_reproduction():
-    exact10 = 945.0 * float(exact_small_integral(Matching.consecutive(10)))
+def test_c04_expected_count_reproduction(exact_expected_count_10):
+    exact10 = exact_expected_count_10
     est10 = estimate_expected_X(10, 50_000, RngStream(11, 0))
     ok10 = abs(est10.mean - exact10) <= 3.0 * est10.stderr
     est500 = estimate_expected_X(500, 100_000, RngStream(11, 1))

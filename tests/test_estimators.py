@@ -239,8 +239,8 @@ def test_truncated_exponential_draws_in_place(shape):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_expected_count_estimator_against_exact_oracle():
-    exact = 945.0 * float(exact_small_integral(Matching.consecutive(10)))
+def test_expected_count_estimator_against_exact_oracle(exact_expected_count_10):
+    exact = exact_expected_count_10
     est = estimate_expected_X(10, 50_000, RngStream(11, 0))
     assert not est.degenerate
     assert abs(est.mean - exact) <= 3.0 * est.stderr

@@ -305,6 +305,19 @@ def test_two_point_cycles_covering_every_agent(capsys, cycles):
     assert math.isfinite(record["estimate"]) and record["estimate"] > 0
 
 
+def test_cycle_is_a_spelling_of_cycles(capsys):
+    # --cycle used to be dropped silently whenever --cycles was given
+    def estimate(*flags):
+        argv = ["estimate", "two-point", "--n", "40", "--samples", "200", "--seed", "3"]
+        assert main(argv + list(flags)) == 0
+        return json.loads(capsys.readouterr().out)["estimate"]
+
+    joined = estimate("--cycles", "4,6")
+    assert estimate("--cycle", "4", "--cycles", "6") == joined
+    assert estimate("--cycle", "4", "--cycle", "6") == joined
+    assert estimate("--cycles", "6") != joined
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -365,6 +378,18 @@ def test_cli_solve_and_census_instance(tmp_path, no_stable_profile_4):
     run = _cli("census-instance", str(path))
     assert run.returncode == 0
     assert "X = 0" in run.stdout
+
+
+def test_census_instance_limit_below_one_is_a_config_error(tmp_path, capsys, no_stable_profile_4):
+    # it used to exit 3 as a cap "exceeded": "exceeds the cap of -3"
+    from roommates.instances import serialize_instance
+
+    path = tmp_path / "inst.txt"
+    path.write_text(serialize_instance(no_stable_profile_4))
+    for limit in ("0", "-3"):
+        assert main(["census-instance", str(path), "--limit", limit]) == 2
+        assert "--limit" in capsys.readouterr().err
+    assert main(["census-instance", str(path), "--limit", "2"]) == 3  # a real cap
 
 
 def test_cli_counts_and_tstar():
@@ -634,6 +659,18 @@ def test_scaling_beyond_physical_memory_fails_before_work(tmp_path):
     run = _cli(
         "scaling", "--n-grid", "4,1000000", "--replicates", "5", "--workers", "2",
         "--output", str(out),
+    )
+    assert run.returncode == 3 and "physical memory" in run.stderr
+    assert not out.exists()
+
+
+def test_census_beyond_physical_memory_fails_before_work(tmp_path):
+    # about 60 n^2 bytes per sample: petabytes at n = 10^6.  The check runs
+    # before n = 12 does; without it the fill's n x n array failed mid-run.
+    out = tmp_path / "c.csv"
+    run = _cli(
+        "census", "--n-grid", "12,1000000", "--samples", "4", "--chunk-size", "2",
+        "--workers", "2", "--output", str(out),
     )
     assert run.returncode == 3 and "physical memory" in run.stderr
     assert not out.exists()

@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from roommates.experiments import ExperimentConfig, _random_pref_score, run_scaling
-from roommates.instances import PreferenceProfile, RngStream, preference_rows, sample_profile
+from roommates.estimators import _conditional_x_batch, _fill_conditional_pairs
+from roommates.experiments import ExperimentConfig, _census_chunk, _random_pref_score, run_scaling
+from roommates.instances import (
+    InvalidInstanceError,
+    PreferenceProfile,
+    RngStream,
+    UtilityMatrix,
+    preference_rows,
+    rank_from_utilities,
+    sample_profile,
+    sample_utilities,
+)
 from roommates.matchings import Matching, is_stable, iter_perfect_matchings, symmetric_difference
 from roommates.solvers import (
     ResourceCapError,
@@ -111,6 +121,72 @@ def test_per_distance_requires_materialized():
     assert census.stable_list is None
     with pytest.raises(ValueError):
         census.single_cycle_marginal(2)
+
+
+def test_score_matrix_and_profile_give_one_census():
+    # the census reads each sample's utility array as it is; a profile and
+    # its rank matrix must give the same count, list order and histogram.
+    # Per n: 100 uniform instances and 100 conditioned on the reference.
+    gen = np.random.default_rng(1313)
+    for n in (4, 6, 8, 10, 12):
+        ref = Matching.consecutive(n)
+        X, _ = _conditional_x_batch(ref, 100, gen)
+        fills = [_fill_conditional_pairs(ref, x, gen) for x in X]
+        for U in [sample_utilities(n, gen).u for _ in range(100)] + fills:
+            p = rank_from_utilities(UtilityMatrix(n, U))
+            want = enumerate_stable(p, reference=ref)
+            for score in (U, p.rank_matrix()):
+                got = enumerate_stable(score, reference=ref)
+                assert got.X == want.X
+                assert got.stable_list == want.stable_list
+                assert list(got.per_distance.items()) == list(want.per_distance.items())
+            assert enumerate_stable(U, materialize=False).X == want.X
+
+
+def _nan_diagonal(n: int) -> np.ndarray:
+    U = np.random.default_rng(n).random((n, n))
+    np.fill_diagonal(U, np.nan)
+    return U
+
+
+@pytest.mark.parametrize(
+    "score, message",
+    [
+        (np.zeros((4, 5)), "square"),
+        (np.zeros(4), "square"),
+        (np.zeros((4, 4, 1)), "square"),
+        (_nan_diagonal(5), "even integer"),
+        (_nan_diagonal(2), "even integer"),
+        (np.random.default_rng(0).random((6, 6)) * (1 - np.eye(6)), "last"),
+    ],
+    ids=["non-square", "one-dim", "three-dim", "odd-n", "two-agents", "zero-diagonal"],
+)
+def test_bad_score_matrix_rejected(score, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        enumerate_stable(score)
+
+
+def test_limit_below_one_rejected():
+    # it used to be compared with n as a cap and reported as exceeded
+    p = make_partner_first_profile(4)
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            enumerate_stable(p, limit=limit)
+    with pytest.raises(ResourceCapError):
+        enumerate_stable(p, limit=2)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_census_chunk_builds_no_profile(monkeypatch, n):
+    # the census enumerates each sample from its utility array: no
+    # UtilityMatrix or PreferenceProfile rebuilds and re-validates it
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built in the census")
+
+    monkeypatch.setattr(PreferenceProfile, "__post_init__", refuse)
+    monkeypatch.setattr(UtilityMatrix, "__post_init__", refuse)
+    out = _census_chunk((5, n, 0, 16, None, 3, 12))
+    assert (out["full_X"] >= 1).all()
 
 
 # Existence and phase-1 proposal counts of the instances drawn below, as
