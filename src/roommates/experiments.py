@@ -15,11 +15,9 @@ import math
 import os
 import platform
 import time
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -214,13 +212,13 @@ def _random_pref_score(gen: np.random.Generator, n: int):
 # Peak RSS of expected_count_log_weights at n = 1000 grew by 10.0 bytes per
 # entry from 4096 to 8192 rows and from 8192 to 16384 rows.
 _EX_BYTES_PER_ENTRY = 10
-# Peak bytes per n^2 of one census sample: its utilities, their list copy in
-# the neighbour search, and the fill's pair indices.  Peak RSS of one sample
-# at nu_cap 5 was 60, 57, 56 and 55 bytes per n^2 at n = 1000, 2000, 3000 and
-# 4000, and grew by 53 per n^2 from 3000 to 4000.  The census check adds the
-# X batch at ex-scaling's _EX_BYTES_PER_ENTRY, not measured on the census, as
-# if both peaks coincided: an upper bound.
-_CENSUS_BYTES_PER_N2 = 60
+# Peak bytes per n^2 of one census sample: its utilities, the fill's pair
+# indices and the neighbour search's tables.  Peak RSS of one sample at
+# nu_cap 5 was 29.8, 29.6, 29.5 and 29.5 bytes per n^2 at n = 1000, 2000,
+# 3000 and 4000, and grew by 29.5 per n^2 from 3000 to 4000.  The census
+# check adds the X batch at ex-scaling's _EX_BYTES_PER_ENTRY, not measured on
+# the census, as if both peaks coincided: an upper bound.
+_CENSUS_BYTES_PER_N2 = 30
 
 
 def _check_memory(config: ExperimentConfig, worker_bytes) -> None:
@@ -354,141 +352,189 @@ def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, new_partner: dict[int, int
 
 # Search nodes (paths extended) that stable_single_cycle_neighbors may
 # expand on one instance before it raises ResourceCapError.  An instance
-# takes about 40 nodes at n=12 and 500 at n=50 with nu_cap 5, 2.5k at n=200
-# with nu_cap 5 and 120k (about 2 s) with nu_cap 8.
+# takes about 40 nodes at n=12 and 450 at n=50 with nu_cap 5, 2.5k at n=200
+# with nu_cap 5 and 120k (about 0.4 s) with nu_cap 8.
 SEARCH_NODE_CAP = 1_000_000
+# Scratch bytes the census search holds at once: a group's tables, about
+# _SEARCH_BYTES_PER_N2 per n^2 and sample, and one slice of candidate rows.
+_SEARCH_BYTES = 1 << 20
+_SEARCH_BYTES_PER_N2 = 24
 
 
-def stable_single_cycle_neighbors(
-    U: np.ndarray, m: Matching, nu_cap: int
-) -> list[tuple[int, dict[int, int]]]:
+def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> list:
     """All stable matchings differing from ``m`` by one cycle of half-length
     at most ``nu_cap``, for an instance (utility array ``U``) in which ``m``
-    is stable.  Returns (half-length, new-partner map) pairs.
+    is stable.  Returns (half-length, new-partner map) pairs, or for a stack
+    ``U`` of shape (samples, n, n) one such list per sample.
 
     Searches oriented cycles directly: along a realizable cycle the
     improving and worsening vertices alternate, and every improving vertex
     must rank its new partner above its old one, which at typical scale
-    leaves about sqrt(n) candidates per step instead of n.  Raises
-    ResourceCapError when the search expands more than SEARCH_NODE_CAP
-    nodes.
+    leaves about sqrt(n) candidates per step instead of n.  A cycle starts
+    at its smallest improving vertex a1 and its partner b; each step picks
+    an admirer a2 > a1 of the current b that b ranks below its partner.
+    All paths of all samples advance one step at a time as rows of flat
+    arrays, in slices of at most _SEARCH_BYTES, and the cycles come out in
+    depth-first order: by a1, then by the a2 of each step, a cycle before
+    its extensions.  Raises ResourceCapError when the search expands more
+    than SEARCH_NODE_CAP nodes on one sample.
     """
-    n = m.n
-    partner = list(m.partner)
-    p_arr = np.array(partner)
-    x = U[np.arange(n), p_arr]
-    # (b, j) for every j that prefers b to its partner (an admirer of b),
-    # each b's admirers in ascending index
+    Ug = U if U.ndim == 3 else U[None]
+    g, n = len(Ug), m.n
+    partner = np.array(m.partner)
+    x = Ug[:, np.arange(n), partner].ravel()  # x[s n + i]: i's partner utility
+    Uf = Ug.ravel()  # Uf[(s n + i) n + j] = U[s, i, j]
+    UT = Ug.transpose(0, 2, 1).ravel()  # UT[(s n + i) n + j] = U[s, j, i]
+    # (b, j) for every j that prefers b to its partner (an admirer of b), as
+    # e = (s n + b) n + j in ascending order, and R[e] = j's rank in b's
+    # order of its admirers (n for a non-admirer)
     with np.errstate(invalid="ignore"):
-        bs, js = np.nonzero((U < x[:, None]).T)
-    ub = U[bs, js]
-    off = np.searchsorted(bs, np.arange(n + 1))
-    # covet[b]: b's admirers as (U[b, j], j) in b's order, to count and
-    # identify agents that would block b's candidate new match
-    order = np.lexsort((ub, bs))  # sorts within each b's block only
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - off[bs]
-    off = off.tolist()
-    cv = list(zip(ub[order].tolist(), js[order].tolist()))
-    covet = [cv[off[b] : off[b + 1]] for b in range(n)]
-    # cands[b]: admirers a2 that b would take only as a worse partner, in
-    # ascending index, as (a2, U[b, a2], U[a2, b], partner of a2, rank of a2
-    # in covet[b])
-    keep = ub > x[bs]
-    bs, js = bs[keep], js[keep]
-    coff = np.searchsorted(bs, np.arange(n + 1)).tolist()
-    cl = list(zip(js.tolist(), ub[keep].tolist(), U[js, bs].tolist(), p_arr[js].tolist(),
-                  rank[keep].tolist()))
-    cands = [cl[coff[b] : coff[b + 1]] for b in range(n)]
-    Ul = U.tolist()
-    xl = x.tolist()
-    out: list[tuple[int, dict[int, int]]] = []
-    used = [False] * n
-    # committed vertices and their new utilities, step i's (b, a2) at 2i, 2i + 1
-    path: list[tuple[int, float]] = []
-    nodes = 0
-
-    def extend(a1: int, b: int, depth: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_CAP:
-            raise ResourceCapError(
-                f"census search at n={n}, nu_cap={nu_cap} expanded more than "
-                f"{SEARCH_NODE_CAP} nodes on one instance; lower nu_cap"
-            )
-        Ub = Ul[b]
-        Ua1 = Ul[a1]
-        if depth >= 2:
-            # try to close the cycle back to a1, first looking for an exact
-            # witness against it: a path vertex blocking b or a1 at their
-            # closing utilities, or an unused admirer that b prefers
-            y_close = Ub[a1]
-            ya1 = Ua1[b]
-            if y_close > xl[b] and ya1 < xl[a1]:
-                witness = False
-                for j, yj in path:
-                    if (Ub[j] < y_close and Ul[j][b] < yj) or (Ua1[j] < ya1 and Ul[j][a1] < yj):
-                        witness = True
-                        break
-                if not witness:
-                    for val, j in covet[b]:
-                        if val >= y_close:
-                            break
-                        if not used[j]:
-                            witness = True
-                            break
-                if not witness:
-                    cand = {v: path[i ^ 1][0] for i, (v, _) in enumerate(path)}
-                    cand[b] = a1
-                    cand[a1] = b
-                    if _neighbor_is_stable(U, x, cand):
-                        out.append((depth, cand))
-        if depth >= nu_cap:
-            return
-        budget = nu_cap - depth - 1
-        xa1 = xl[a1]
-        for a2, yb, ya, b2, r in cands[b][bisect_right(cands[b], a1, key=itemgetter(0)) :]:
-            if used[a2]:
+        e = np.flatnonzero(UT.reshape(g, n, n) < x.reshape(g, 1, n))
+    key, ub = e // n, Uf[e]
+    order = np.lexsort((ub, key))
+    R = np.full(Uf.size, n, dtype=np.min_scalar_type(n))
+    R[e[order]] = np.arange(e.size) - np.searchsorted(key, key[order])
+    # candidates: admirers a2 that b would take only as a worse partner, and
+    # with at most 2 nu_cap - 3 admirers below them, which a path can absorb
+    cand = e[(ub > x[key]) & (R[e] <= 2 * nu_cap - 3)]
+    cand_a2 = cand % n
+    coff = np.searchsorted(cand, np.arange(g * n + 1) * n)
+    nodes = np.zeros(g, dtype=np.int64)
+    closings = []
+    # a block of paths: sample, a1, current b, and the committed vertices
+    # and their new utilities, step i's (b, a2) in rows 2i and 2i + 1
+    s0 = np.repeat(np.arange(g), n)
+    a10 = np.tile(np.arange(n), g)
+    stack = [(s0, a10, partner[a10], np.empty((0, g * n), np.intp), np.empty((0, g * n)), 0, None)]
+    while stack:
+        s, a1, b, P, Y, lo, start_cum = stack.pop()
+        depth = len(P) // 2 + 1
+        kb = s * n + b
+        rb = kb * n
+        if lo == 0:
+            nodes += np.bincount(s, minlength=g)
+            if (nodes > SEARCH_NODE_CAP).any():
+                raise ResourceCapError(
+                    f"census search at n={n}, nu_cap={nu_cap} expanded more than "
+                    f"{SEARCH_NODE_CAP} nodes on one instance; lower nu_cap"
+                )
+            if depth >= 2:
+                closings.append(_closing_candidates(Uf, UT, R, x, n, s, a1, b, P, Y, nu_cap))
+            if depth == nu_cap:
                 continue
-            if budget == 0 and not (Ul[b2][a1] > xl[b2] and Ua1[b2] < xa1):
-                continue  # the next step must close the cycle, and b2 cannot
-            # agents outside the path that would block b's new match can
-            # only be absorbed as future improving vertices.  Committed ones
-            # are used, a2 itself sorts at yb, and at most r agents sort
-            # below it.
-            if r > budget:
-                pending = 0
-                for val, j in covet[b]:
-                    if val >= yb:
-                        break
-                    if not used[j]:
-                        pending += 1
-                        if pending > budget:
-                            break
-                if pending > budget:
-                    continue
-            # exact blocking against committed vertices
-            blocked = False
-            if path:
-                Ua2 = Ul[a2]
-                for j, yj in path:
-                    if (Ub[j] < yb and Ul[j][b] < yj) or (Ua2[j] < ya and Ul[j][a2] < yj):
-                        blocked = True
-                        break
-            if blocked:
-                continue
-            used[a2] = used[b2] = True
-            path.append((b, yb))
-            path.append((a2, ya))
-            extend(a1, b2, depth + 1)
-            del path[-2:]
-            used[a2] = used[b2] = False
+            start = np.searchsorted(cand, rb + a1, side="right")
+            start_cum = start, np.cumsum(coff[kb + 1] - start)
+        start, cum = start_cum
+        # slices of nodes with at most rows_max candidate rows each, until
+        # their extended paths fill a block: a row holds 16 bytes per
+        # committed vertex and about 128 in its other arrays
+        rows_max = _SEARCH_BYTES // (16 * (len(P) + 8))
+        left = nu_cap - depth - 1
+        kids, kid_rows = [], 0
+        while lo < len(s) and kid_rows < rows_max:
+            base = cum[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cum, base + rows_max, side="right")))
+            c = np.diff(cum[lo:hi], prepend=base)
+            par = np.repeat(np.arange(lo, hi), c)
+            a2 = cand_a2[np.arange(par.size) + np.repeat(start[lo:hi] + base - cum[lo:hi] + c, c)]
+            lo = hi
+            rbp = rb[par]
+            r = R[rbp + a2].astype(np.intp)
+            # the r admirers that b prefers to a2 would block b's new match
+            # unless used: at most ``left`` may stay unused, to be absorbed as
+            # future improving vertices, and only a1 and the path can be used
+            keep = r <= left + len(P) + 1
+            if left == 0:  # the next step must close the cycle, and b2 must allow it
+                sn, a1p, b2 = s[par] * n, a1[par], partner[a2]
+                keep &= Uf[(sn + b2) * n + a1p] > x[sn + b2]
+                keep &= Uf[(sn + a1p) * n + b2] < x[sn + a1p]
+            par, a2, rbp, r = par[keep], a2[keep], rbp[keep], r[keep]
+            Pp = P[:, par]
+            pending = r - (R[rbp + a1[par]] < r)
+            used = np.zeros(par.size, dtype=bool)
+            for j in Pp:
+                pending -= R[rbp + j] < r
+                used |= j == a2
+            keep = (pending <= left) & ~used
+            par, a2, rbp, Pp = par[keep], a2[keep], rbp[keep], Pp[:, keep]
+            # exact blocking of b and a2 at their new utilities with the path
+            Yp = Y[:, par]
+            yb, ya = Uf[rbp + a2], UT[rbp + a2]
+            ra = (s[par] * n + a2) * n
+            blocked = np.zeros(par.size, dtype=bool)
+            for j, yj in zip(Pp, Yp):
+                blocked |= (Uf[rbp + j] < yb) & (UT[rbp + j] < yj)
+                blocked |= (Uf[ra + j] < ya) & (UT[ra + j] < yj)
+            keep = ~blocked
+            par, a2 = par[keep], a2[keep]
+            kids.append((
+                s[par], a1[par], partner[a2],
+                np.vstack([Pp[:, keep], b[par], a2]), np.vstack([Yp[:, keep], yb[keep], ya[keep]]),
+            ))
+            kid_rows += par.size
+        if lo < len(s):
+            stack.append((s, a1, b, P, Y, lo, start_cum))
+        if kid_rows:
+            stack.append((*(np.concatenate(k, axis=-1) for k in zip(*kids)), 0, None))
+    found = _stable_closings(Ug, x.reshape(g, n), closings, nu_cap)
+    return found if U.ndim == 3 else found[0]
 
-    for a1 in range(n):
-        b1 = partner[a1]
-        used[a1] = used[b1] = True
-        extend(a1, b1, 1)
-        used[a1] = used[b1] = False
+
+def _closing_candidates(Uf, UT, R, x, n, s, a1, b, P, Y, nu_cap):
+    """The paths of a block that may close back to a1: b takes a1 as a worse
+    partner, a1 takes b as a better one, and no exact witness blocks it (a
+    path vertex blocking b or a1 at their closing utilities, or an unused
+    admirer that b prefers to a1).  Returns their sort keys (sample, a1,
+    then the a2 of each step, -1 past the last), and the changed vertices
+    and their new utilities, padded to 2 nu_cap columns by repeating a1."""
+    sn = s * n
+    t = (sn + b) * n + a1
+    yc, ya1 = Uf[t], UT[t]
+    ok = np.flatnonzero((yc > x[sn + b]) & (ya1 < x[sn + a1]))
+    s, a1, b, P, Y, t, yc, ya1 = s[ok], a1[ok], b[ok], P[:, ok], Y[:, ok], t[ok], yc[ok], ya1[ok]
+    rb, ra = t - a1, (s * n + a1) * n
+    rc = R[t]  # a1's rank among b's admirers: the admirers b prefers to a1
+    unused = rc.astype(np.intp)
+    witness = np.zeros(ok.size, dtype=bool)
+    for j, yj in zip(P, Y):
+        unused -= R[rb + j] < rc
+        witness |= (Uf[rb + j] < yc) & (UT[rb + j] < yj)
+        witness |= (Uf[ra + j] < ya1) & (UT[ra + j] < yj)
+    ok = np.flatnonzero(~witness & (unused == 0))
+    depth = len(P) // 2 + 1
+    keys = np.full((nu_cap + 1, ok.size), -1)
+    keys[0], keys[1], keys[2 : depth + 1] = s[ok], a1[ok], P[1::2, ok]
+    pad = 2 * (nu_cap - depth) + 1
+    V = np.vstack([P[:, ok], b[ok], np.tile(a1[ok], (pad, 1))])
+    yV = np.vstack([Y[:, ok], yc[ok], np.tile(ya1[ok], (pad, 1))])
+    return keys, V, yV, np.full(ok.size, depth)
+
+
+def _stable_closings(Ug, x, closings, nu_cap):
+    """The closing candidates that pass the full stability check, as one
+    list per sample of (half-length, new-partner map) pairs in depth-first
+    order."""
+    out = [[] for _ in Ug]
+    if closings:
+        keys, V, yV, depth = (np.concatenate(a, axis=-1) for a in zip(*closings))
+        order = np.lexsort(keys[::-1])
+        keys, V, yV, depth = keys[:, order], V[:, order].T, yV[:, order].T, depth[order]
+        bounds = np.searchsorted(keys[0], np.arange(len(Ug) + 1))
+        # a candidate's rows and columns of U take about 40 nu_cap n bytes
+        step = max(1, _SEARCH_BYTES // (40 * nu_cap * Ug.shape[1]))
+        ok = np.zeros(depth.size, dtype=bool)
+        for k, U in enumerate(Ug):
+            for lo in range(bounds[k], bounds[k + 1], step):
+                hi = min(lo + step, bounds[k + 1])
+                own = np.tile(x[k], (hi - lo, 1))
+                own[np.arange(hi - lo)[:, None], V[lo:hi]] = yV[lo:hi]
+                ok[lo:hi] = ~blocking_mask(U, own, V[lo:hi]).any(axis=(1, 2))
+        samples, V, depth = keys[0].tolist(), V.tolist(), depth.tolist()
+        for i in np.flatnonzero(ok).tolist():
+            v = V[i][: 2 * depth[i]]
+            w = v.copy()
+            w[0::2], w[1::2] = v[1::2], v[0::2]
+            out[samples[i]].append((depth[i], dict(zip(v, w))))
     return out
 
 
@@ -504,22 +550,25 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
     disjoint_pairs = np.zeros(count, dtype=np.int64)
     failing_pairs = np.zeros(count, dtype=np.int64)
     full_X = np.full(count, -1, dtype=np.int64)
-    for k in range(count):
-        U = _fill_conditional_pairs(m, X[k], gen)
-        found = stable_single_cycle_neighbors(U, m, nu_cap)
-        for nu, _ in found:
-            xcirc[k, nu - 2] += 1
-        for a, (_, first) in enumerate(found):
-            for _, second in found[a + 1 :]:
-                if not first.keys().isdisjoint(second):
-                    d1[k] = True
-                else:
-                    disjoint_pairs[k] += 1
-                    if not _neighbor_is_stable(U, X[k], first | second):
-                        d3[k] = True
-                        failing_pairs[k] += 1
-        if n <= enum_cap:
-            full_X[k] = enumerate_stable(U, materialize=False).X
+    # the search runs on groups of samples, drawn in sample order: only the
+    # fills draw, so the generator's order is that of one sample at a time
+    group = max(1, _SEARCH_BYTES // (_SEARCH_BYTES_PER_N2 * n * n))
+    for lo in range(0, count, group):
+        Ug = np.stack([_fill_conditional_pairs(m, x, gen) for x in X[lo : lo + group]])
+        for k, U, found in zip(range(lo, count), Ug, stable_single_cycle_neighbors(Ug, m, nu_cap)):
+            for nu, _ in found:
+                xcirc[k, nu - 2] += 1
+            for a, (_, first) in enumerate(found):
+                for _, second in found[a + 1 :]:
+                    if not first.keys().isdisjoint(second):
+                        d1[k] = True
+                    else:
+                        disjoint_pairs[k] += 1
+                        if not _neighbor_is_stable(U, X[k], first | second):
+                            d3[k] = True
+                            failing_pairs[k] += 1
+            if n <= enum_cap:
+                full_X[k] = enumerate_stable(U, materialize=False).X
     return {
         "logw": logw,
         "xcirc": xcirc,

@@ -198,10 +198,13 @@ def blocking_mask(score: np.ndarray, own: np.ndarray, rows=slice(None)) -> np.nd
     ``score``: (n, n) ranks or utilities, lower meaning preferred.
     ``own[v]``: the score v gives its partner.  Under strict ``<`` a matched
     pair never qualifies, and neither does a diagonal that sorts last (n in a
-    rank matrix) or is NaN (utilities).
+    rank matrix) or is NaN (utilities).  Several matchings of one instance
+    are checked at once when ``own`` is (c, n) and ``rows`` (c, k), one row
+    each; the result is then (c, k, n).
     """
     with np.errstate(invalid="ignore"):
-        return (score[rows] < own[rows, None]) & (score[:, rows].T < own)
+        own_rows = own[rows] if own.ndim == 1 else np.take_along_axis(own, rows, 1)
+        return (score[rows] < own_rows[..., None]) & (score.T[rows] < own[..., None, :])
 
 
 def _partner_scores(p: PreferenceProfile, m: Matching) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,12 @@
 import math
+from bisect import bisect_right
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from roommates.estimators import exact_small_integral
+from roommates.experiments import _neighbor_is_stable
 from roommates.instances import PreferenceProfile
 from roommates.matchings import Matching
 from roommates.solvers import enumerate_stable
@@ -55,6 +58,131 @@ def reference_stability_masks(U: np.ndarray, m: Matching) -> np.ndarray:
     return ok
 
 
+def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
+    """``experiments.stable_single_cycle_neighbors`` as a depth-first
+    recursion over one instance, the reference the flat search must match
+    in order.  Returns the (half-length, new-partner map) list and the
+    number of search nodes, which the flat search counts against
+    SEARCH_NODE_CAP.
+
+    Searches oriented cycles directly: along a realizable cycle the
+    improving and worsening vertices alternate, and every improving vertex
+    must rank its new partner above its old one.
+    """
+    n = m.n
+    partner = list(m.partner)
+    p_arr = np.array(partner)
+    x = U[np.arange(n), p_arr]
+    # (b, j) for every j that prefers b to its partner (an admirer of b),
+    # each b's admirers in ascending index
+    with np.errstate(invalid="ignore"):
+        bs, js = np.nonzero((U < x[:, None]).T)
+    ub = U[bs, js]
+    off = np.searchsorted(bs, np.arange(n + 1))
+    # covet[b]: b's admirers as (U[b, j], j) in b's order, to count and
+    # identify agents that would block b's candidate new match
+    order = np.lexsort((ub, bs))  # sorts within each b's block only
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - off[bs]
+    off = off.tolist()
+    cv = list(zip(ub[order].tolist(), js[order].tolist()))
+    covet = [cv[off[b] : off[b + 1]] for b in range(n)]
+    # cands[b]: admirers a2 that b would take only as a worse partner, in
+    # ascending index, as (a2, U[b, a2], U[a2, b], partner of a2, rank of a2
+    # in covet[b])
+    keep = ub > x[bs]
+    bs, js = bs[keep], js[keep]
+    coff = np.searchsorted(bs, np.arange(n + 1)).tolist()
+    cl = list(zip(js.tolist(), ub[keep].tolist(), U[js, bs].tolist(), p_arr[js].tolist(),
+                  rank[keep].tolist()))
+    cands = [cl[coff[b] : coff[b + 1]] for b in range(n)]
+    Ul = U.tolist()
+    xl = x.tolist()
+    out: list[tuple[int, dict[int, int]]] = []
+    used = [False] * n
+    # committed vertices and their new utilities, step i's (b, a2) at 2i, 2i + 1
+    path: list[tuple[int, float]] = []
+    nodes = 0
+
+    def extend(a1: int, b: int, depth: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        Ub = Ul[b]
+        Ua1 = Ul[a1]
+        if depth >= 2:
+            # try to close the cycle back to a1, first looking for an exact
+            # witness against it: a path vertex blocking b or a1 at their
+            # closing utilities, or an unused admirer that b prefers
+            y_close = Ub[a1]
+            ya1 = Ua1[b]
+            if y_close > xl[b] and ya1 < xl[a1]:
+                witness = False
+                for j, yj in path:
+                    if (Ub[j] < y_close and Ul[j][b] < yj) or (Ua1[j] < ya1 and Ul[j][a1] < yj):
+                        witness = True
+                        break
+                if not witness:
+                    for val, j in covet[b]:
+                        if val >= y_close:
+                            break
+                        if not used[j]:
+                            witness = True
+                            break
+                if not witness:
+                    cand = {v: path[i ^ 1][0] for i, (v, _) in enumerate(path)}
+                    cand[b] = a1
+                    cand[a1] = b
+                    if _neighbor_is_stable(U, x, cand):
+                        out.append((depth, cand))
+        if depth >= nu_cap:
+            return
+        budget = nu_cap - depth - 1
+        xa1 = xl[a1]
+        for a2, yb, ya, b2, r in cands[b][bisect_right(cands[b], a1, key=itemgetter(0)) :]:
+            if used[a2]:
+                continue
+            if budget == 0 and not (Ul[b2][a1] > xl[b2] and Ua1[b2] < xa1):
+                continue  # the next step must close the cycle, and b2 cannot
+            # agents outside the path that would block b's new match can
+            # only be absorbed as future improving vertices.  Committed ones
+            # are used, a2 itself sorts at yb, and at most r agents sort
+            # below it.
+            if r > budget:
+                pending = 0
+                for val, j in covet[b]:
+                    if val >= yb:
+                        break
+                    if not used[j]:
+                        pending += 1
+                        if pending > budget:
+                            break
+                if pending > budget:
+                    continue
+            # exact blocking against committed vertices
+            blocked = False
+            if path:
+                Ua2 = Ul[a2]
+                for j, yj in path:
+                    if (Ub[j] < yb and Ul[j][b] < yj) or (Ua2[j] < ya and Ul[j][a2] < yj):
+                        blocked = True
+                        break
+            if blocked:
+                continue
+            used[a2] = used[b2] = True
+            path.append((b, yb))
+            path.append((a2, ya))
+            extend(a1, b2, depth + 1)
+            del path[-2:]
+            used[a2] = used[b2] = False
+
+    for a1 in range(n):
+        b1 = partner[a1]
+        used[a1] = used[b1] = True
+        extend(a1, b1, 1)
+        used[a1] = used[b1] = False
+    return out, nodes
+
+
 @pytest.fixture(scope="session")
 def rejection_oracle_8():
     """Instances of size 8 drawn uniformly and kept when the reference
@@ -76,11 +204,11 @@ def rejection_oracle_8():
     kept = np.concatenate(kept)
     counts = np.empty(len(kept), dtype=np.int64)
     xcirc = np.zeros((len(kept), 2), dtype=np.int64)
-    for k, Uk in enumerate(kept):
-        Un = Uk.copy()
-        np.fill_diagonal(Un, np.nan)
-        counts[k] = enumerate_stable(Un, materialize=False).X
-        for nu, _ in stable_single_cycle_neighbors(Un, m, 3):
+    Un = kept.copy()
+    Un[:, np.arange(n), np.arange(n)] = np.nan
+    for k, (U, found) in enumerate(zip(Un, stable_single_cycle_neighbors(Un, m, 3))):
+        counts[k] = enumerate_stable(U, materialize=False).X
+        for nu, _ in found:
             xcirc[k, nu - 2] += 1
     return {"n": n, "draws": total, "U": kept, "X": counts, "xcirc": xcirc}
 

@@ -31,7 +31,7 @@ from roommates.instances import (
 from roommates.matchings import Matching, is_stable, single_cycle_neighbors
 from roommates.solvers import ENUM_CAP, ResourceCapError
 
-from conftest import reference_stability_masks
+from conftest import reference_single_cycle_neighbors, reference_stability_masks
 
 
 def test_config_validation():
@@ -220,6 +220,74 @@ def test_census_search_node_cap(tmp_path, monkeypatch):
     code = main(["census", "--n-grid", "50", "--samples", "4", "--output", str(out)])
     assert code == 3
     assert not out.exists()
+
+
+def _conditioned_stack(n: int, samples: int, seed: int) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    m = Matching.consecutive(n)
+    X, _ = _conditional_x_batch(m, samples, gen)
+    return np.stack([_fill_conditional_pairs(m, x, gen) for x in X])
+
+
+def _as_items(found):
+    return [(nu, list(d.items())) for nu, d in found]
+
+
+# (n, nu_cap, samples): 330 instances, few of them at n=200 with nu_cap 8,
+# where one instance takes the reference about a second
+_REFERENCE_CASES = [
+    (8, 2, 40), (8, 4, 40), (10, 3, 30), (12, 5, 40), (14, 7, 20), (16, 8, 20),
+    (20, 8, 30), (30, 4, 20), (50, 5, 40), (50, 8, 10), (100, 6, 10), (200, 2, 12),
+    (200, 5, 16), (200, 8, 2),
+]
+
+
+@pytest.mark.parametrize("n, nu_cap, samples", _REFERENCE_CASES)
+def test_stable_neighbor_search_matches_reference(n, nu_cap, samples):
+    # the same lists in the same order, each map with the same key order,
+    # from one stack of every sample and from each sample alone
+    m = Matching.consecutive(n)
+    Us = _conditioned_stack(n, samples, 4200 + 10 * n + nu_cap)
+    expected = [_as_items(reference_single_cycle_neighbors(U, m, nu_cap)[0]) for U in Us]
+    assert [_as_items(f) for f in stable_single_cycle_neighbors(Us, m, nu_cap)] == expected
+    assert [_as_items(stable_single_cycle_neighbors(U, m, nu_cap)) for U in Us] == expected
+    assert any(expected)
+
+
+@pytest.mark.parametrize("n, nu_cap", [(12, 5), (20, 8), (50, 5)])
+def test_census_node_cap_matches_reference_node_count(monkeypatch, n, nu_cap):
+    m = Matching.consecutive(n)
+    Us = _conditioned_stack(n, 3, 4300 + n)
+    counts = [reference_single_cycle_neighbors(U, m, nu_cap)[1] for U in Us]
+    for U, count in zip(Us, counts):
+        monkeypatch.setattr(experiments, "SEARCH_NODE_CAP", count)
+        stable_single_cycle_neighbors(U, m, nu_cap)
+        monkeypatch.setattr(experiments, "SEARCH_NODE_CAP", count - 1)
+        message = (
+            f"census search at n={n}, nu_cap={nu_cap} expanded more than {count - 1} "
+            "nodes on one instance; lower nu_cap"
+        )
+        with pytest.raises(ResourceCapError) as err:
+            stable_single_cycle_neighbors(U, m, nu_cap)
+        assert str(err.value) == message
+    # the cap holds per sample: the stack together expands more
+    monkeypatch.setattr(experiments, "SEARCH_NODE_CAP", max(counts))
+    assert sum(counts) > max(counts)
+    stable_single_cycle_neighbors(Us, m, nu_cap)
+
+
+@pytest.mark.parametrize("n, nu_cap", [(12, 5), (20, 8), (50, 5)])
+def test_census_chunk_independent_of_search_groups(monkeypatch, n, nu_cap):
+    # one sample per group, a few candidate rows per slice and one closing
+    # per stability check give the arrays of the default budget
+    args = (14, n, 3, 40, None, nu_cap, 12)
+    default = _census_chunk(args)
+    monkeypatch.setattr(experiments, "_SEARCH_BYTES", 4096)
+    assert max(1, experiments._SEARCH_BYTES // (experiments._SEARCH_BYTES_PER_N2 * n * n)) == 1
+    small = _census_chunk(args)
+    assert default.keys() == small.keys()
+    for key in default:
+        assert np.array_equal(default[key], small[key]), key
 
 
 def test_scaling_row_fields():

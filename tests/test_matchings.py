@@ -9,6 +9,7 @@ from roommates.matchings import (
     CycleDecomposition,
     DisjointnessError,
     Matching,
+    blocking_mask,
     blocking_pairs,
     combine,
     is_stable,
@@ -80,6 +81,23 @@ def test_blocking_pairs_match_double_loop_oracle():
             assert got == expected
             assert is_stable(p, m) == (not expected)
 
+
+def test_blocking_mask_checks_several_matchings_at_once():
+    # one (c, n) row of partner scores and one (c, k) row of agents per
+    # matching give each matching's own (k, n) mask
+    gen = np.random.default_rng(5)
+    matchings = list(iter_perfect_matchings(8))
+    for seed in range(5):
+        score = sample_profile(8, RngStream(43, seed)).rank_matrix()
+        own = np.array([score[np.arange(8), list(m.partner)] for m in matchings])
+        rows = gen.integers(0, 8, (len(matchings), 3))
+        several = blocking_mask(score, own, rows)
+        assert several.shape == (len(matchings), 3, 8)
+        for mask, o, r in zip(several, own, rows):
+            assert np.array_equal(mask, blocking_mask(score, o, r))
+        everyone = np.tile(np.arange(8), (len(matchings), 1))
+        stable = ~blocking_mask(score, own, everyone).any(axis=(1, 2))
+        assert stable.tolist() == [not blocking_mask(score, o).any() for o in own]
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.permutations(range(6)), matchings_strategy(6))
