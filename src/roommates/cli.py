@@ -61,6 +61,8 @@ def _experiment_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
                 values = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config}: {exc}") from None
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {args.config}: expected a JSON object")
         unknown = set(values) - set(overrides)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -169,23 +171,11 @@ def _cmd_counts(args) -> int:
 def _cmd_tstar(args) -> int:
     if args.grid is not None and not 0 < args.grid < math.inf:
         raise ConfigError(f"--grid must be positive and finite, got {args.grid}")
-    sol = tstar_closed_form()
-    record = {
-        "s": sol.s,
-        "alpha": sol.alpha,
-        "gamma": sol.gamma,
-        "t_star": sol.t_star,
-        "objective_terms": list(sol.objective_terms),
-    }
+    record = dict(vars(tstar_closed_form()))
     if args.grid is not None:
-        g = tstar_grid_search(args.grid)
-        record["grid"] = {
-            "s": g.s,
-            "alpha": g.alpha,
-            "gamma": g.gamma,
-            "t_star": g.t_star,
-            "resolution": args.grid,
-        }
+        grid = dict(vars(tstar_grid_search(args.grid)), resolution=args.grid)
+        del grid["objective_terms"]
+        record["grid"] = grid
     print(json.dumps(record))
     return 0
 

@@ -340,16 +340,6 @@ def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
 # Conditional census: stable single-cycle neighbors of a conditioned matching.
 
 
-def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, new_partner: dict[int, int]) -> bool:
-    """Full stability check of the matching that differs from the reference
-    on ``new_partner``, valid when the reference itself is stable: a pair
-    with both members outside the difference can never newly block."""
-    idx = np.fromiter(new_partner, dtype=np.intp, count=len(new_partner))
-    y = x.copy()
-    y[idx] = U[idx, np.fromiter(new_partner.values(), dtype=np.intp, count=idx.size)]
-    return not blocking_mask(U, y, idx).any()
-
-
 # Search nodes (paths extended) that stable_single_cycle_neighbors may
 # expand on one instance before it raises ResourceCapError.  An instance
 # takes about 40 nodes at n=12 and 450 at n=50 with nu_cap 5, 2.5k at n=200
@@ -476,8 +466,24 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             stack.append((s, a1, b, P, Y, lo, start_cum))
         if kid_rows:
             stack.append((*(np.concatenate(k, axis=-1) for k in zip(*kids)), 0, None))
-    found = _stable_closings(Ug, x.reshape(g, n), closings, nu_cap)
+    found = _stable_closings(Ug, x.reshape(g, n), closings)
     return found if U.ndim == 3 else found[0]
+
+
+def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, V: np.ndarray, yV: np.ndarray) -> np.ndarray:
+    """Full stability check, one bool per row, of the matchings that differ
+    from the reference (partner utilities ``x``) on a row of vertices ``V``
+    with new utilities ``yV``; a row may repeat a vertex as padding.  Valid
+    when the reference is stable: a pair outside the difference cannot block."""
+    ok = np.zeros(len(V), dtype=bool)
+    # a row's rows and columns of U take about 20 bytes per column and agent
+    step = max(1, _SEARCH_BYTES // (20 * V.shape[1] * len(x)))
+    for lo in range(0, len(V), step):
+        v = V[lo : lo + step]
+        own = np.tile(x, (len(v), 1))
+        own[np.arange(len(v))[:, None], v] = yV[lo : lo + step]
+        ok[lo : lo + step] = ~blocking_mask(U, own, v).any(axis=(1, 2))
+    return ok
 
 
 def _closing_candidates(Uf, UT, R, x, n, s, a1, b, P, Y, nu_cap):
@@ -510,7 +516,7 @@ def _closing_candidates(Uf, UT, R, x, n, s, a1, b, P, Y, nu_cap):
     return keys, V, yV, np.full(ok.size, depth)
 
 
-def _stable_closings(Ug, x, closings, nu_cap):
+def _stable_closings(Ug, x, closings):
     """The closing candidates that pass the full stability check, as one
     list per sample of (half-length, new-partner map) pairs in depth-first
     order."""
@@ -519,16 +525,11 @@ def _stable_closings(Ug, x, closings, nu_cap):
         keys, V, yV, depth = (np.concatenate(a, axis=-1) for a in zip(*closings))
         order = np.lexsort(keys[::-1])
         keys, V, yV, depth = keys[:, order], V[:, order].T, yV[:, order].T, depth[order]
-        bounds = np.searchsorted(keys[0], np.arange(len(Ug) + 1))
-        # a candidate's rows and columns of U take about 40 nu_cap n bytes
-        step = max(1, _SEARCH_BYTES // (40 * nu_cap * Ug.shape[1]))
+        bounds = np.searchsorted(keys[0], np.arange(len(Ug) + 1)).tolist()
         ok = np.zeros(depth.size, dtype=bool)
-        for k, U in enumerate(Ug):
-            for lo in range(bounds[k], bounds[k + 1], step):
-                hi = min(lo + step, bounds[k + 1])
-                own = np.tile(x[k], (hi - lo, 1))
-                own[np.arange(hi - lo)[:, None], V[lo:hi]] = yV[lo:hi]
-                ok[lo:hi] = ~blocking_mask(U, own, V[lo:hi]).any(axis=(1, 2))
+        for U, xs, lo, hi in zip(Ug, x, bounds, bounds[1:]):
+            if hi > lo:
+                ok[lo:hi] = _neighbor_is_stable(U, xs, V[lo:hi], yV[lo:hi])
         samples, V, depth = keys[0].tolist(), V.tolist(), depth.tolist()
         for i in np.flatnonzero(ok).tolist():
             v = V[i][: 2 * depth[i]]
@@ -545,8 +546,6 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
     X, logw = _conditional_x_batch(m, count, gen, rate)
     gpi = gpi_rows(X, m)[1].all(axis=0)
     xcirc = np.zeros((count, nu_cap - 1), dtype=np.int32)
-    d1 = np.zeros(count, dtype=bool)
-    d3 = np.zeros(count, dtype=bool)
     disjoint_pairs = np.zeros(count, dtype=np.int64)
     failing_pairs = np.zeros(count, dtype=np.int64)
     full_X = np.full(count, -1, dtype=np.int64)
@@ -558,22 +557,27 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
         for k, U, found in zip(range(lo, count), Ug, stable_single_cycle_neighbors(Ug, m, nu_cap)):
             for nu, _ in found:
                 xcirc[k, nu - 2] += 1
-            for a, (_, first) in enumerate(found):
-                for _, second in found[a + 1 :]:
-                    if not first.keys().isdisjoint(second):
-                        d1[k] = True
-                    else:
-                        disjoint_pairs[k] += 1
-                        if not _neighbor_is_stable(U, X[k], first | second):
-                            d3[k] = True
-                            failing_pairs[k] += 1
+            # each vertex-disjoint pair of found maps as one row of (vertex,
+            # new partner) items, padded by repeating its first
+            pairs = [
+                [*(first | second).items()]
+                for a, (_, first) in enumerate(found)
+                for _, second in found[a + 1 :]
+                if first.keys().isdisjoint(second)
+            ]
+            if pairs:
+                VW = np.array([p + p[:1] * (4 * nu_cap - len(p)) for p in pairs])
+                V, W = VW[..., 0], VW[..., 1]
+                disjoint_pairs[k] = len(pairs)
+                failing_pairs[k] = len(pairs) - _neighbor_is_stable(U, X[k], V, U[V, W]).sum()
             if n <= enum_cap:
                 full_X[k] = enumerate_stable(U, materialize=False).X
+    cycles = xcirc.sum(axis=1)
     return {
         "logw": logw,
         "xcirc": xcirc,
-        "d1": d1,
-        "d3": d3,
+        "d1": disjoint_pairs < cycles * (cycles - 1) // 2,  # some pair overlaps
+        "d3": failing_pairs > 0,
         "disjoint_pairs": disjoint_pairs,
         "failing_pairs": failing_pairs,
         "gpi": gpi,
@@ -731,7 +735,10 @@ def write_experiment(config: ExperimentConfig, rows, csv_path: str) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Dispatch on config.kind, write outputs, return the rows."""
+    """Dispatch on config.kind, write outputs, return the rows.  A missing
+    output directory raises before any work."""
+    if not os.path.isdir(os.path.dirname(config.output) or "."):
+        raise FileNotFoundError(f"output directory of {config.output!r} does not exist")
     rows = globals()[KINDS[config.kind].run](config)
     write_experiment(config, rows, config.output)
     return rows

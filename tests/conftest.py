@@ -132,7 +132,8 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
                     cand = {v: path[i ^ 1][0] for i, (v, _) in enumerate(path)}
                     cand[b] = a1
                     cand[a1] = b
-                    if _neighbor_is_stable(U, x, cand):
+                    v, w = np.array([*cand.items()]).T
+                    if _neighbor_is_stable(U, x, v[None], U[v, w][None])[0]:
                         out.append((depth, cand))
         if depth >= nu_cap:
             return

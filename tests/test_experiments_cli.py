@@ -147,7 +147,9 @@ def test_stable_neighbor_search_order_pinned(n, nu_cap):
 
 def test_neighbor_is_stable_matches_double_loop():
     # every single-cycle neighbour up to nu=3, stable or not, and the union
-    # of each vertex-disjoint pair of them, as the census's d3 check merges
+    # of each vertex-disjoint pair of them, as the census's d3 check merges,
+    # checked as one stack per instance: each diff padded to the widest row
+    # by repeating its first vertex, and again by repeating its last
     gen = np.random.default_rng(37)
     outcomes = set()
     for n in (8, 10, 12):
@@ -166,13 +168,22 @@ def test_neighbor_is_stable_matches_double_loop():
         for _ in range(2):
             X, _ = _conditional_x_batch(m, 1, gen)
             U = _fill_conditional_pairs(m, X[0], gen)
+            expected = []
             for diff in diffs + merged:
                 partner = list(m.partner)
                 for i, j in diff.items():
                     partner[i] = j
-                expected = reference_stability_masks(U[None], Matching(tuple(partner)))[0]
-                assert _neighbor_is_stable(U, X[0], diff) == expected, (n, diff)
-                outcomes.add(bool(expected))
+                expected.append(reference_stability_masks(U[None], Matching(tuple(partner)))[0])
+            rows = [[*d.items()] for d in diffs + merged]
+            width = max(map(len, rows))
+            VW = np.array(
+                [r + r[:1] * (width - len(r)) for r in rows]
+                + [r + r[-1:] * (width - len(r)) for r in rows]
+            )
+            V, W = VW[..., 0], VW[..., 1]
+            got = _neighbor_is_stable(U, X[0], V, U[V, W])
+            assert got.tolist() == expected * 2, n
+            outcomes.update(map(bool, expected))
     assert outcomes == {True, False}
 
 
@@ -567,6 +578,54 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert _cli("scaling", "--config", str(bad)).returncode == 2
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[4, 6]", '"n_grid"'])
+def test_config_file_not_an_object_is_a_config_error(tmp_path, capsys, text):
+    # a number or null used to crash with a TypeError, and a list or string
+    # was read as a set of unknown keys
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    out = tmp_path / "s.csv"
+    assert main(["scaling", "--config", str(config), "--n-grid", "4", "--output", str(out)]) == 2
+    assert f"config file {config}: expected a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_output_directory_fails_before_work(tmp_path, monkeypatch, capsys):
+    # a CSV in a directory that does not exist used to fail only after the
+    # whole run, when it was written
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(experiments, "_run_chunks", no_chunks)
+    out = tmp_path / "nodir" / "s.csv"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n_grid": [4], "replicates": 5, "output": str(out)}))
+    for argv in (["--n-grid", "4", "--replicates", "5", "--output", str(out)],
+                 ["--config", str(config)]):
+        assert main(["scaling", *argv]) == 4
+        assert "nodir" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+# configs/ by file: its kind and the config_hash of the ExperimentConfig that
+# the removed scripts/run_landscape.py and scripts/run_census.py built at
+# their defaults, whose CSV bytes these files reproduce
+_CONFIG_FILES = {
+    "landscape-scaling.json": ("scaling", "78b89e935a1529bf", "results/scaling.csv"),
+    "landscape-ex-scaling.json": ("ex-scaling", "0baa75e48be579ad", "results/ex_scaling.csv"),
+    "census.json": ("census", "88d13f7979d4b05b", "results/census.csv"),
+}
+
+
+def test_config_files_load_through_the_cli():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert sorted(p.name for p in configs.iterdir()) == sorted(_CONFIG_FILES)
+    for name, (kind, config_hash, output) in _CONFIG_FILES.items():
+        args = cli.build_parser().parse_args([kind, "--config", str(configs / name)])
+        config = cli._experiment_config(kind, args)
+        assert (config.workers, config.output, config.config_hash()) == (2, output, config_hash)
+
+
 def test_bad_proposal_rate_rejected(tmp_path):
     # a rate of 0 used to fall back silently to the default sqrt(n), and an
     # infinite one wrote a CSV of NaN estimates
@@ -733,7 +792,7 @@ def test_scaling_beyond_physical_memory_fails_before_work(tmp_path):
 
 
 def test_census_beyond_physical_memory_fails_before_work(tmp_path):
-    # about 60 n^2 bytes per sample: petabytes at n = 10^6.  The check runs
+    # about 30 n^2 bytes per sample: petabytes at n = 10^6.  The check runs
     # before n = 12 does; without it the fill's n x n array failed mid-run.
     out = tmp_path / "c.csv"
     run = _cli(
