@@ -2,9 +2,10 @@
 
 Experiment subcommands (scaling, census, ex-scaling) read an optional JSON
 config file; explicit flags override file values.  They write a data CSV
-plus a JSON sidecar.  Estimator subcommands print a single JSON record to
-stdout.  Exit codes: 0 success, 2 config or instance error, 3 resource cap
-or a dead worker process, 4 I/O; a library fault is a traceback (exit 1).
+plus a JSON sidecar, then print one summary line per n.  Estimator
+subcommands print a single JSON record to stdout.  Exit codes: 0 success,
+2 config or instance error, 3 resource cap or a dead worker process, 4 I/O;
+a library fault is a traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -107,8 +108,19 @@ def _estimate_record(args, est, t0: float) -> str:
     )
 
 
+# One summary line per row of each experiment, printed after its CSV is written.
+_SUMMARIES = {
+    "scaling": "n={0.n:>4}  p_hat={0.p_hat:.4f} +- {0.stderr:.4f}"
+               "  (prediction {0.mertens_prediction:.4f})",
+    "ex-scaling": "n={0.n:>4}  E[count]={0.estimate:.4f} +- {0.stderr:.4f}  ess={0.ess:.0f}",
+    "census": "n={0.n:>4}  ess={0.ess:.0f}  xcirc_le={0.mean_X_circ_le:.4f}"
+              "  d1={0.d1_rate:.4f}  d3={0.d3_rate:.4f}  gpi={0.gpi_rate:.4f}",
+}
+
+
 def _cmd_experiment(args) -> int:
-    run_experiment(_experiment_config(args.command, args))
+    for row in run_experiment(_experiment_config(args.command, args)):
+        print(_SUMMARIES[args.command].format(row))
     return 0
 
 

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -365,6 +366,22 @@ def _conditional_x_batch(
     return X, logw - shift
 
 
+# One entry: a census worker fills one n at a time, and its memory check
+# counts one set of pair indices.
+@lru_cache(maxsize=1)
+def _nonmatched_pairs(partner: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j that ``partner`` does not match, as a mask of the
+    upper triangle and its row and column indices in row-major order, all
+    read-only since the cache shares them."""
+    n = len(partner)
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask[np.arange(n), partner] = False
+    pi, pj = np.nonzero(mask)
+    for a in (mask, pi, pj):
+        a.flags.writeable = False
+    return mask, pi, pj
+
+
 def _fill_conditional_pairs(
     m: Matching, x: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
@@ -373,11 +390,8 @@ def _fill_conditional_pairs(
     the blocking rectangle [0, x_i) x [0, x_j)."""
     n = m.n
     U = np.full((n, n), np.nan)
-    U[np.arange(n), np.array(m.partner)] = x
-    # the non-matched pairs i < j in row-major order
-    pi, pj = np.triu_indices(n, 1)
-    keep = np.array(m.partner)[pi] != pj
-    pi, pj = pi[keep], pj[keep]
+    U[np.arange(n), m.partner] = x
+    mask, pi, pj = _nonmatched_pairs(m.partner)
     a = gen.random(pi.size)
     bvals = gen.random(pi.size)
     blocked = (a < x[pi]) & (bvals < x[pj])
@@ -386,8 +400,9 @@ def _fill_conditional_pairs(
         a[idx] = gen.random(idx.size)
         bvals[idx] = gen.random(idx.size)
         blocked[idx] = (a[idx] < x[pi[idx]]) & (bvals[idx] < x[pj[idx]])
-    U[pi, pj] = a
-    U[pj, pi] = bvals
+    # boolean masks assign in row-major order, that of (pi, pj)
+    U[mask] = a
+    U.T[mask] = bvals
     return U
 
 

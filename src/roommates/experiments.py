@@ -32,7 +32,7 @@ from .estimators import (
 )
 from .instances import InvalidInstanceError, RngStream, check_agent_count, preference_rows
 from .matchings import Matching, blocking_mask
-from .solvers import ENUM_CAP, ResourceCapError, enumerate_stable, irving_decide
+from .solvers import _SEARCH_BYTES, ENUM_CAP, ResourceCapError, count_stable_stack, irving_decide
 
 MERTENS_COEFF = math.e * math.sqrt(2.0 / math.pi)
 
@@ -67,10 +67,10 @@ class ExperimentConfig:
     ``workers`` parallelizes chunk execution only; ``chunk_size`` of 0
     picks a per-experiment default.  ``enum_cap`` bounds the agent count up
     to which the census materializes the full stable-matching count; it
-    cannot exceed the enumeration cap of ``enumerate_stable``.  Every field
-    must have its annotated type exactly (a bool or numpy integer is not an
-    int; ``proposal_rate`` may be any int or float), so that a bad value
-    fails here rather than mid-run or in ``config_hash``.
+    cannot exceed ``ENUM_CAP``.  Every field must have its annotated type
+    exactly (a bool or numpy integer is not an int; ``proposal_rate`` may be
+    any int or float), so that a bad value fails here rather than mid-run or
+    in ``config_hash``.
     """
 
     kind: str
@@ -345,9 +345,8 @@ def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
 # takes about 40 nodes at n=12 and 450 at n=50 with nu_cap 5, 2.5k at n=200
 # with nu_cap 5 and 120k (about 0.4 s) with nu_cap 8.
 SEARCH_NODE_CAP = 1_000_000
-# Scratch bytes the census search holds at once: a group's tables, about
-# _SEARCH_BYTES_PER_N2 per n^2 and sample, and one slice of candidate rows.
-_SEARCH_BYTES = 1 << 20
+# The census search's group holds about _SEARCH_BYTES_PER_N2 per n^2 and
+# sample, and one slice of candidate rows, within _SEARCH_BYTES.
 _SEARCH_BYTES_PER_N2 = 24
 
 
@@ -554,6 +553,8 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
     group = max(1, _SEARCH_BYTES // (_SEARCH_BYTES_PER_N2 * n * n))
     for lo in range(0, count, group):
         Ug = np.stack([_fill_conditional_pairs(m, x, gen) for x in X[lo : lo + group]])
+        if n <= enum_cap:
+            full_X[lo : lo + group] = count_stable_stack(Ug)
         for k, U, found in zip(range(lo, count), Ug, stable_single_cycle_neighbors(Ug, m, nu_cap)):
             for nu, _ in found:
                 xcirc[k, nu - 2] += 1
@@ -570,8 +571,6 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
                 V, W = VW[..., 0], VW[..., 1]
                 disjoint_pairs[k] = len(pairs)
                 failing_pairs[k] = len(pairs) - _neighbor_is_stable(U, X[k], V, U[V, W]).sum()
-            if n <= enum_cap:
-                full_X[k] = enumerate_stable(U, materialize=False).X
     cycles = xcirc.sum(axis=1)
     return {
         "logw": logw,

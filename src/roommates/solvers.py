@@ -4,7 +4,9 @@
 (proposal rounds, then all-or-nothing rotation elimination).  It is
 deliberately cross-checked against ``enumerate_stable``, an independent
 pruned exhaustive search that never reduces preference tables, so the two
-share no logic beyond the blocking-pair definition.
+share no logic beyond the blocking-pair definition.  ``count_stable_stack``
+is the census's fast path: the same search over a stack of instances at
+once, counting only, with ``enumerate_stable`` as its oracle.
 """
 
 from __future__ import annotations
@@ -254,6 +256,9 @@ def irving_solve(p: PreferenceProfile) -> SolveResult:
 
 
 ENUM_CAP = 20  # default agent cap of enumerate_stable
+# Scratch bytes that a search over a stack of instances holds at once: the
+# census neighbour search's groups and slices, and count_stable_stack's blocks.
+_SEARCH_BYTES = 1 << 20
 
 
 def enumerate_stable(
@@ -274,6 +279,8 @@ def enumerate_stable(
     against that enumeration filtered by ``is_stable``.  ``p`` is a profile
     or an (n, n) score matrix as ``irving_decide`` takes it, with no ties or
     NaN off the diagonal (unchecked).  ``limit`` (>= 1) replaces the cap of 20.
+    The census counts its samples with ``count_stable_stack`` instead, a
+    stack at a time; this search is that counter's oracle.
     """
     cap = limit if limit is not None else ENUM_CAP
     if cap < 1:
@@ -349,3 +356,59 @@ def enumerate_stable(
         stable_list=tuple(found) if materialize else None,
         per_distance=per_distance,
     )
+
+
+def count_stable_stack(U: np.ndarray) -> np.ndarray:
+    """The stable-matching count X of every instance of a (samples, n, n)
+    stack of score matrices, as ``enumerate_stable(U[s],
+    materialize=False).X`` gives it, with no ties off the diagonal and the
+    diagonal never read.
+
+    The same search as ``enumerate_stable``, one depth at a time over the
+    live partial matchings of every sample, as rows of (sample, free
+    agents, best).  best[v] is v's lowest score of a decided agent that
+    would leave its partner for v (inf if none), so v may take an agent only
+    if it scores it below best[v]: the bit state of ``enumerate_stable`` as
+    a min over decided agents.  Rows live in blocks of at most about
+    _SEARCH_BYTES on a stack, each block's children made a slice at a time.
+    """
+    g, n = U.shape[:2]
+    check_agent_count(n)
+    rows_U = U.reshape(g * n, n)
+    rows_UT = U.transpose(0, 2, 1).reshape(g * n, n)
+    X = np.zeros(g, dtype=np.int64)
+    # a child row takes about 64 bytes per agent with its scratch
+    rows_max = max(1, _SEARCH_BYTES // (64 * n))
+    stack = []
+    for lo in range(0, g, rows_max):
+        s = np.arange(lo, min(g, lo + rows_max))
+        stack.append((s, np.ones((s.size, n), dtype=bool), np.full((s.size, n), np.inf), 0, None))
+    while stack:
+        s, free, best, depth, todo = stack.pop()
+        if todo is None:
+            rows = np.arange(s.size)
+            i = free.argmax(axis=1)  # the lowest unmatched agent of each row
+            k = s * n + i
+            free[rows, i] = False
+            # e = r n + j for each unmatched j that row r's i may take
+            ok = free & (rows_U[k] < best[rows, i][:, None]) & (rows_UT[k] < best)
+            e = np.flatnonzero(ok)
+            if depth == n // 2 - 1:  # the children are complete matchings
+                X += np.bincount(s[e // n], minlength=g)
+                continue
+            todo = i, k, e, 0
+        i, k, e, lo = todo
+        if lo + rows_max < e.size:
+            stack.append((s, free, best, depth, (i, k, e, lo + rows_max)))
+        r, j = np.divmod(e[lo : lo + rows_max], n)
+        c = np.arange(r.size)
+        kr, kj = k[r], s[r] * n + j
+        Ui, Uj = rows_U[kr], rows_U[kj]
+        yi, yj = Ui[c, j], Uj[c, i[r]]
+        child_free = free[r]
+        child_free[c, j] = False
+        # i and j each let in the agents they score below their new partner
+        child_best = np.minimum(best[r], np.where(Ui < yi[:, None], rows_UT[kr], np.inf))
+        np.minimum(child_best, np.where(Uj < yj[:, None], rows_UT[kj], np.inf), out=child_best)
+        stack.append((s[r], child_free, child_best, depth + 1, None))
+    return X

@@ -184,6 +184,29 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
     return out, nodes
 
 
+def reference_fill_conditional_pairs(m: Matching, x: np.ndarray, gen: np.random.Generator):
+    """``estimators._fill_conditional_pairs`` as it scattered the draws with
+    fancy indices from a fresh ``np.triu_indices``: the cached-mask fill must
+    give the same array from the same draws."""
+    n = m.n
+    U = np.full((n, n), np.nan)
+    U[np.arange(n), np.array(m.partner)] = x
+    pi, pj = np.triu_indices(n, 1)
+    keep = np.array(m.partner)[pi] != pj
+    pi, pj = pi[keep], pj[keep]
+    a = gen.random(pi.size)
+    bvals = gen.random(pi.size)
+    blocked = (a < x[pi]) & (bvals < x[pj])
+    while blocked.any():
+        idx = np.nonzero(blocked)[0]
+        a[idx] = gen.random(idx.size)
+        bvals[idx] = gen.random(idx.size)
+        blocked[idx] = (a[idx] < x[pi[idx]]) & (bvals[idx] < x[pj[idx]])
+    U[pi, pj] = a
+    U[pj, pi] = bvals
+    return U
+
+
 @pytest.fixture(scope="session")
 def rejection_oracle_8():
     """Instances of size 8 drawn uniformly and kept when the reference

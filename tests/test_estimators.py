@@ -28,7 +28,12 @@ from roommates.estimators import (
 from roommates.instances import RngStream
 from roommates.matchings import Matching, is_stable
 
-from conftest import reference_pair_log1p_sum_rows, reference_stability_masks, two_sided_z
+from conftest import (
+    reference_fill_conditional_pairs,
+    reference_pair_log1p_sum_rows,
+    reference_stability_masks,
+    two_sided_z,
+)
 
 
 def test_partner_utilities_validation():
@@ -317,6 +322,24 @@ def test_sample_instance_always_stable():
         profile, weight = sample_instance_given_stable(m, 8, gen)
         assert weight > 0
         assert is_stable(profile, m)
+
+
+@pytest.mark.parametrize("n", [12, 50, 200, 1000])
+def test_conditional_pair_fill_equals_triu_index_fill(n):
+    # the fill writes through a cached pair mask; the draws, their order and
+    # the array (NaN diagonal included) are those of the triu-index scatter
+    gen = np.random.default_rng(n)
+    pairs = gen.permutation(n).reshape(-1, 2)
+    partner = np.empty(n, dtype=int)
+    partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    for m in (Matching.consecutive(n), Matching(tuple(partner.tolist()))):
+        X, _ = _conditional_x_batch(m, 3, gen, None)
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        for x in X:
+            U = _fill_conditional_pairs(m, x, fast)
+            assert np.array_equal(U, reference_fill_conditional_pairs(m, x, slow), equal_nan=True)
+            assert np.isnan(np.diag(U)).all()
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_conditional_pair_fill_uniform_on_allowed_region():

@@ -607,6 +607,33 @@ def test_missing_output_directory_fails_before_work(tmp_path, monkeypatch, capsy
     assert not out.parent.exists()
 
 
+# Each experiment command's summary line for one CSV row, by its columns.
+_SUMMARY_LINES = {
+    "scaling": "n={n:>4}  p_hat={p_hat:.4f} +- {stderr:.4f}  (prediction {mertens_prediction:.4f})",
+    "ex-scaling": "n={n:>4}  E[count]={estimate:.4f} +- {stderr:.4f}  ess={ess:.0f}",
+    "census": "n={n:>4}  ess={ess:.0f}  xcirc_le={xcirc_le:.4f}  d1={d1_rate:.4f}"
+              "  d3={d3_rate:.4f}  gpi={gpi_rate:.4f}",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--n-grid", "4,10", "--replicates", "40", "--seed", "3"],
+    ["ex-scaling", "--n-grid", "10,20", "--samples", "1000", "--seed", "3"],
+    ["census", "--n-grid", "8,10", "--samples", "20", "--nu-cap", "3", "--enum-cap", "8"],
+])
+def test_experiment_commands_print_one_summary_per_n(tmp_path, capsys, argv):
+    # the removed scripts printed these lines; the CSV holds the same values
+    out = tmp_path / "e.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()[1:]
+    expected = []
+    for line in rows:
+        cells = dict(zip(header.split(","), line.split(",")))
+        values = {k: float(v) for k, v in cells.items() if v and k != "n"}
+        expected.append(_SUMMARY_LINES[argv[0]].format(n=int(cells["n"]), **values))
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 # configs/ by file: its kind and the config_hash of the ExperimentConfig that
 # the removed scripts/run_landscape.py and scripts/run_census.py built at
 # their defaults, whose CSV bytes these files reproduce

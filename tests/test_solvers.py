@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from roommates.instances import (
     sample_utilities,
 )
 from roommates.matchings import Matching, is_stable, iter_perfect_matchings, symmetric_difference
+from roommates import solvers
 from roommates.solvers import (
     ResourceCapError,
+    count_stable_stack,
     enumerate_stable,
     irving_decide,
     irving_solve,
@@ -174,6 +177,66 @@ def test_limit_below_one_rejected():
             enumerate_stable(p, limit=limit)
     with pytest.raises(ResourceCapError):
         enumerate_stable(p, limit=2)
+
+
+def _uniform_stack(gen, samples, n):
+    U = gen.random((samples, n, n))
+    U[:, np.arange(n), np.arange(n)] = np.nan
+    return U
+
+
+def _conditional_stack(gen, samples, n):
+    m = Matching.consecutive(n)
+    X, _ = _conditional_x_batch(m, samples, gen, None)
+    return np.stack([_fill_conditional_pairs(m, x, gen) for x in X])
+
+
+def _enumerated(U, limit=None):
+    return np.array([enumerate_stable(u, limit, materialize=False).X for u in U])
+
+
+def test_count_stable_stack_equals_enumeration():
+    gen = np.random.default_rng(1700)
+    total = 0
+    for n in (4, 6, 8, 10, 12):
+        for make in (_uniform_stack, _conditional_stack):
+            U = make(gen, 120, n)
+            assert np.array_equal(count_stable_stack(U), _enumerated(U))
+            total += len(U)
+    assert total >= 1000
+    for n, samples in ((16, 12), (20, 4)):
+        for make in (_uniform_stack, _conditional_stack):
+            U = make(gen, samples, n)
+            assert np.array_equal(count_stable_stack(U), _enumerated(U, limit=20))
+    U = _conditional_stack(gen, 1, 12)
+    assert count_stable_stack(U).tolist() == [enumerate_stable(U[0], materialize=False).X]
+
+
+def test_count_stable_stack_independent_of_blocks(monkeypatch):
+    # with room for two rows per block the search runs on many small blocks
+    gen = np.random.default_rng(1701)
+    U = np.concatenate([_uniform_stack(gen, 40, 12), _conditional_stack(gen, 40, 12)])
+    default = count_stable_stack(U)
+    monkeypatch.setattr(solvers, "_SEARCH_BYTES", 2 * 64 * 12)
+    assert np.array_equal(count_stable_stack(U), default)
+    assert np.array_equal(default, _enumerated(U))
+
+
+def test_count_stable_stack_memory_follows_its_budget(monkeypatch):
+    # at n=20 a uniform draw keeps ~880 partial matchings of a sample alive
+    # at one depth, so a stack that were not cut into blocks would need tens
+    # of MB here; the blocks and the pending parents of each depth stay
+    # within a few budgets, beside the stack's transposed copy
+    budget = 1 << 18
+    monkeypatch.setattr(solvers, "_SEARCH_BYTES", budget)
+    U = _uniform_stack(np.random.default_rng(1702), 40, 20)
+    tracemalloc.start()
+    try:
+        count_stable_stack(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < U.nbytes + 3 * budget
 
 
 @pytest.mark.parametrize("n", [8, 12])
