@@ -193,6 +193,8 @@ def _cmd_tstar(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     floor = EX_MIN_SAMPLES if args.target == "ex" else 1
     if args.samples < floor:
         raise ConfigError(f"--samples must be >= {floor}, got {args.samples}")

@@ -260,7 +260,7 @@ def _ex_chunk(args) -> np.ndarray:
 def _run_chunks(worker, arglist, workers: int):
     if workers <= 1 or len(arglist) <= 1:
         return [worker(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
         return list(pool.map(worker, arglist))
 
 
@@ -366,7 +366,11 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     arrays, in slices of at most _SEARCH_BYTES, and the cycles come out in
     depth-first order: by a1, then by the a2 of each step, a cycle before
     its extensions.  Raises ResourceCapError when the search expands more
-    than SEARCH_NODE_CAP nodes on one sample.
+    than SEARCH_NODE_CAP nodes on one sample.  The search's own tests decide
+    each closing exactly: as ``m`` is stable, only a worsening vertex can
+    block with an agent off the cycle, and does so exactly when it prefers
+    one of its admirers there to its new partner.  A 2-D call pays the fixed
+    numpy cost of every depth, so callers with many instances pass a stack.
     """
     Ug = U if U.ndim == 3 else U[None]
     g, n = len(Ug), m.n
@@ -465,7 +469,7 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             stack.append((s, a1, b, P, Y, lo, start_cum))
         if kid_rows:
             stack.append((*(np.concatenate(k, axis=-1) for k in zip(*kids)), 0, None))
-    found = _stable_closings(Ug, x.reshape(g, n), closings)
+    found = _stable_closings(g, m.partner, closings)
     return found if U.ndim == 3 else found[0]
 
 
@@ -473,7 +477,8 @@ def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, V: np.ndarray, yV: np.ndar
     """Full stability check, one bool per row, of the matchings that differ
     from the reference (partner utilities ``x``) on a row of vertices ``V``
     with new utilities ``yV``; a row may repeat a vertex as padding.  Valid
-    when the reference is stable: a pair outside the difference cannot block."""
+    when the reference is stable: a pair outside the difference cannot block.
+    The census's d3 check of merged pairs, and the tests' reference search."""
     ok = np.zeros(len(V), dtype=bool)
     # a row's rows and columns of U take about 20 bytes per column and agent
     step = max(1, _SEARCH_BYTES // (20 * V.shape[1] * len(x)))
@@ -486,55 +491,45 @@ def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, V: np.ndarray, yV: np.ndar
 
 
 def _closing_candidates(Uf, UT, R, x, n, s, a1, b, P, Y, nu_cap):
-    """The paths of a block that may close back to a1: b takes a1 as a worse
-    partner, a1 takes b as a better one, and no exact witness blocks it (a
-    path vertex blocking b or a1 at their closing utilities, or an unused
-    admirer that b prefers to a1).  Returns their sort keys (sample, a1,
-    then the a2 of each step, -1 past the last), and the changed vertices
-    and their new utilities, padded to 2 nu_cap columns by repeating a1."""
+    """The sort keys (sample, a1, then the a2 of each step, -1 past the
+    last) of the paths of a block that close back to a1 into a stable
+    neighbour: b takes a1 as a worse partner and a1 takes b as a better one,
+    no path vertex blocks b or a1 at their closing utilities, and every
+    admirer that a worsening vertex prefers to its new partner is on the
+    cycle."""
     sn = s * n
     t = (sn + b) * n + a1
     yc, ya1 = Uf[t], UT[t]
     ok = np.flatnonzero((yc > x[sn + b]) & (ya1 < x[sn + a1]))
     s, a1, b, P, Y, t, yc, ya1 = s[ok], a1[ok], b[ok], P[:, ok], Y[:, ok], t[ok], yc[ok], ya1[ok]
     rb, ra = t - a1, (s * n + a1) * n
-    rc = R[t]  # a1's rank among b's admirers: the admirers b prefers to a1
-    unused = rc.astype(np.intp)
     witness = np.zeros(ok.size, dtype=bool)
     for j, yj in zip(P, Y):
-        unused -= R[rb + j] < rc
         witness |= (Uf[rb + j] < yc) & (UT[rb + j] < yj)
         witness |= (Uf[ra + j] < ya1) & (UT[ra + j] < yj)
-    ok = np.flatnonzero(~witness & (unused == 0))
-    depth = len(P) // 2 + 1
-    keys = np.full((nu_cap + 1, ok.size), -1)
-    keys[0], keys[1], keys[2 : depth + 1] = s[ok], a1[ok], P[1::2, ok]
-    pad = 2 * (nu_cap - depth) + 1
-    V = np.vstack([P[:, ok], b[ok], np.tile(a1[ok], (pad, 1))])
-    yV = np.vstack([Y[:, ok], yc[ok], np.tile(ya1[ok], (pad, 1))])
-    return keys, V, yV, np.full(ok.size, depth)
+    # the cycle's vertices, each worsening one (rows rw of R) before its new
+    # partner, whom it ranks below r admirers: all r must be on the cycle
+    V = np.vstack([P, b, a1])
+    rw = (s * n + V[0::2]) * n
+    r = R[rw + V[1::2]]
+    ok = ~witness & ((R[rw[:, None] + V] < r[:, None]).sum(axis=1) == r).all(axis=0)
+    keys = np.full((nu_cap + 1, ok.sum()), -1)
+    keys[0], keys[1], keys[2 : len(V) // 2 + 1] = s[ok], a1[ok], P[1::2, ok]
+    return keys
 
 
-def _stable_closings(Ug, x, closings):
-    """The closing candidates that pass the full stability check, as one
-    list per sample of (half-length, new-partner map) pairs in depth-first
-    order."""
-    out = [[] for _ in Ug]
+def _stable_closings(g, partner, closings):
+    """The closings' sort keys in depth-first order, as one list per sample
+    of (half-length, new-partner map) pairs: the a2s and a1 are the cycle's
+    improving vertices, each taking the old partner of the one before it."""
+    out = [[] for _ in range(g)]
     if closings:
-        keys, V, yV, depth = (np.concatenate(a, axis=-1) for a in zip(*closings))
-        order = np.lexsort(keys[::-1])
-        keys, V, yV, depth = keys[:, order], V[:, order].T, yV[:, order].T, depth[order]
-        bounds = np.searchsorted(keys[0], np.arange(len(Ug) + 1)).tolist()
-        ok = np.zeros(depth.size, dtype=bool)
-        for U, xs, lo, hi in zip(Ug, x, bounds, bounds[1:]):
-            if hi > lo:
-                ok[lo:hi] = _neighbor_is_stable(U, xs, V[lo:hi], yV[lo:hi])
-        samples, V, depth = keys[0].tolist(), V.tolist(), depth.tolist()
-        for i in np.flatnonzero(ok).tolist():
-            v = V[i][: 2 * depth[i]]
-            w = v.copy()
-            w[0::2], w[1::2] = v[1::2], v[0::2]
-            out[samples[i]].append((depth[i], dict(zip(v, w))))
+        keys = np.concatenate(closings, axis=1)
+        for s, a1, *a2 in keys[:, np.lexsort(keys[::-1])].T.tolist():
+            new, improving = {}, [a for a in a2 if a >= 0] + [a1]
+            for prev, a in zip([a1, *improving], improving):
+                new[partner[prev]], new[a] = a, partner[prev]
+            out[s].append((len(improving), new))
     return out
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,23 @@ def test_census_chunk_independent_of_search_groups(monkeypatch, n, nu_cap):
         assert np.array_equal(default[key], small[key]), key
 
 
+@pytest.mark.parametrize("n, nu_cap", [(12, 5), (20, 8), (50, 5)])
+def test_neighbor_search_needs_no_full_check(monkeypatch, n, nu_cap):
+    # the search decides each closing with its own exact tests: the full
+    # stability check, which the reference still runs, is never reached
+    m = Matching.consecutive(n)
+    Us = _conditioned_stack(n, 24, 4400 + n)
+    expected = [_as_items(reference_single_cycle_neighbors(U, m, nu_cap)[0]) for U in Us]
+
+    def full_check(*args):
+        raise AssertionError("full stability check called")
+
+    monkeypatch.setattr(experiments, "_neighbor_is_stable", full_check)
+    monkeypatch.setattr(experiments, "blocking_mask", full_check)
+    assert [_as_items(f) for f in stable_single_cycle_neighbors(Us, m, nu_cap)] == expected
+    assert any(expected)
+
+
 def test_scaling_row_fields():
     cfg = ExperimentConfig(
         kind="scaling", n_grid=(4, 6), replicates=500, master_seed=3, workers=1
@@ -538,6 +556,14 @@ def test_bad_estimate_and_grid_values_name_their_flag(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, extra", [("ex", []), ("two-point", ["--cycle", "4"]), ("gpi", [])])
+def test_negative_estimate_seed_is_a_config_error(capsys, target, extra):
+    # a negative seed used to end in numpy's SeedSequence ValueError (exit 1)
+    argv = ["estimate", target, "--n", "10", "--samples", "1000", "--seed", "-1", *extra]
+    assert main(argv) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_library_value_error_is_not_a_config_error(monkeypatch):
     # a ValueError from inside the library is a fault, not a bad input; it
     # used to exit 2 like a config error
@@ -563,6 +589,34 @@ def test_dead_worker_exits_3(tmp_path, monkeypatch, capsys):
     assert main(argv) == 3
     assert "worker process died" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pool_starts_at_most_one_process_per_chunk(tmp_path, monkeypatch):
+    # the pool used to fork all --workers processes however few chunks the
+    # grid had; the fake records the count and maps in this process
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    config = ExperimentConfig(kind="scaling", n_grid=(10,), replicates=20, chunk_size=10)
+    run_experiment(replace(config, output=str(serial)))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    run_experiment(replace(config, workers=64, output=str(pooled)))
+    assert started == [2]
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
