@@ -148,12 +148,16 @@ def _cmd_census_instance(args) -> int:
     return 0
 
 
+def _count_text(cv) -> str:
+    """A count as its exact integer, or past the exact limit, where it would
+    overflow a float, as exp(its log)."""
+    return str(cv.exact) if cv.exact is not None else f"exp({cv.log_value!r})"
+
+
 def _cmd_counts(args) -> int:
     n = args.n
     check_agent_count(n)
-    df = double_factorial(n - 1)
-    total = df.exact if df.exact is not None else math.exp(df.log_value)
-    print(f"n = {n}: perfect matchings (n-1)!! = {total}")
+    print(f"n = {n}: perfect matchings (n-1)!! = {_count_text(double_factorial(n - 1))}")
     enumerable = n <= 12
     census: dict[int, int] = {}
     if enumerable:
@@ -171,8 +175,7 @@ def _cmd_counts(args) -> int:
     print(header)
     for nu in range(2, n // 2 + 1):
         cv = single_cycle_count(n, nu)
-        cnt = cv.exact if cv.exact is not None else math.exp(cv.log_value)
-        line = f"{nu:>4} {cnt:>20}"
+        line = f"{nu:>4} {_count_text(cv):>20}"
         if enumerable:
             got = census.get(nu, 0)
             line += f" {got:>12} {'ok' if got == cv.exact else 'FAIL':>6}"

@@ -361,16 +361,18 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     must rank its new partner above its old one, which at typical scale
     leaves about sqrt(n) candidates per step instead of n.  A cycle starts
     at its smallest improving vertex a1 and its partner b; each step picks
-    an admirer a2 > a1 of the current b that b ranks below its partner.
-    All paths of all samples advance one step at a time as rows of flat
-    arrays, in slices of at most _SEARCH_BYTES, and the cycles come out in
-    depth-first order: by a1, then by the a2 of each step, a cycle before
-    its extensions.  Raises ResourceCapError when the search expands more
-    than SEARCH_NODE_CAP nodes on one sample.  The search's own tests decide
-    each closing exactly: as ``m`` is stable, only a worsening vertex can
-    block with an agent off the cycle, and does so exactly when it prefers
-    one of its admirers there to its new partner.  A 2-D call pays the fixed
-    numpy cost of every depth, so callers with many instances pass a stack.
+    an admirer a2 >= a1 of the current b that b ranks below its partner,
+    and a2 = a1 closes the cycle.  All paths of all samples advance one
+    step at a time as rows of flat arrays, in slices of at most
+    _SEARCH_BYTES, and the cycles come out in depth-first order: by a1,
+    then by the a2 of each step, a cycle before its extensions.  Raises
+    ResourceCapError when the search expands more than SEARCH_NODE_CAP
+    nodes on one sample, and InvalidInstanceError when ``m`` is not stable.
+    The step's own tests decide each closing exactly: as ``m`` is stable,
+    only a worsening vertex can block with an agent off the cycle, and does
+    so exactly when it prefers one of its admirers there to its new
+    partner.  A 2-D call pays the fixed numpy cost of every depth, so
+    callers with many instances pass a stack.
     """
     Ug = U if U.ndim == 3 else U[None]
     g, n = len(Ug), m.n
@@ -384,12 +386,19 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     with np.errstate(invalid="ignore"):
         e = np.flatnonzero(UT.reshape(g, n, n) < x.reshape(g, 1, n))
     key, ub = e // n, Uf[e]
+    xb = x[key]
+    blocking = e[ub < xb]  # admirers that b prefers to its partner as well
+    if blocking.size:
+        sb, j = divmod(int(blocking[0]), n)
+        raise InvalidInstanceError(
+            f"m is not stable in sample {sb // n}: agents {sb % n} and {j} block it"
+        )
     order = np.lexsort((ub, key))
     R = np.full(Uf.size, n, dtype=np.min_scalar_type(n))
     R[e[order]] = np.arange(e.size) - np.searchsorted(key, key[order])
     # candidates: admirers a2 that b would take only as a worse partner, and
     # with at most 2 nu_cap - 3 admirers below them, which a path can absorb
-    cand = e[(ub > x[key]) & (R[e] <= 2 * nu_cap - 3)]
+    cand = e[(ub > xb) & (R[e] <= 2 * nu_cap - 3)]
     cand_a2 = cand % n
     coff = np.searchsorted(cand, np.arange(g * n + 1) * n)
     nodes = np.zeros(g, dtype=np.int64)
@@ -411,12 +420,10 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
                     f"census search at n={n}, nu_cap={nu_cap} expanded more than "
                     f"{SEARCH_NODE_CAP} nodes on one instance; lower nu_cap"
                 )
-            if depth >= 2:
-                closings.append(_closing_candidates(Uf, UT, R, x, n, s, a1, b, P, Y, nu_cap))
-            if depth == nu_cap:
-                continue
-            start = np.searchsorted(cand, rb + a1, side="right")
-            start_cum = start, np.cumsum(coff[kb + 1] - start)
+            # b's candidates from a1 on, which closes the cycle: only a1 at nu_cap
+            start = np.searchsorted(cand, rb + a1)
+            end = np.searchsorted(cand, rb + a1, side="right") if depth == nu_cap else coff[kb + 1]
+            start_cum = start, np.cumsum(end - start)
         start, cum = start_cum
         # slices of nodes with at most rows_max candidate rows each, until
         # their extended paths fill a block: a row holds 16 bytes per
@@ -435,12 +442,14 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             r = R[rbp + a2].astype(np.intp)
             # the r admirers that b prefers to a2 would block b's new match
             # unless used: at most ``left`` may stay unused, to be absorbed as
-            # future improving vertices, and only a1 and the path can be used
+            # future improving vertices, and only a1 and the path can be used;
+            # a closing (a2 = a1, every row at nu_cap) must leave none
             keep = r <= left + len(P) + 1
             if left == 0:  # the next step must close the cycle, and b2 must allow it
                 sn, a1p, b2 = s[par] * n, a1[par], partner[a2]
-                keep &= Uf[(sn + b2) * n + a1p] > x[sn + b2]
-                keep &= Uf[(sn + a1p) * n + b2] < x[sn + a1p]
+                keep &= (a2 == a1p) | (
+                    (Uf[(sn + b2) * n + a1p] > x[sn + b2]) & (Uf[(sn + a1p) * n + b2] < x[sn + a1p])
+                )
             par, a2, rbp, r = par[keep], a2[keep], rbp[keep], r[keep]
             Pp = P[:, par]
             pending = r - (R[rbp + a1[par]] < r)
@@ -448,7 +457,7 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             for j in Pp:
                 pending -= R[rbp + j] < r
                 used |= j == a2
-            keep = (pending <= left) & ~used
+            keep = (pending <= max(left, 0)) & ~used
             par, a2, rbp, Pp = par[keep], a2[keep], rbp[keep], Pp[:, keep]
             # exact blocking of b and a2 at their new utilities with the path
             Yp = Y[:, par]
@@ -458,7 +467,20 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             for j, yj in zip(Pp, Yp):
                 blocked |= (Uf[rbp + j] < yb) & (UT[rbp + j] < yj)
                 blocked |= (Uf[ra + j] < ya) & (UT[ra + j] < yj)
-            keep = ~blocked
+            close = a2 == a1[par]
+            ok = np.flatnonzero(close & ~blocked)
+            if ok.size:
+                # a closing's vertices, each worsening one (rows rw of R)
+                # before its new partner, whom it ranks below rv admirers: all
+                # rv must be on the cycle
+                V = np.vstack([Pp[:, ok], b[par[ok]], a2[ok]])
+                rw = (s[par[ok]] * n + V[0::2]) * n
+                rv = R[rw + V[1::2]]
+                ok = ok[((R[rw[:, None] + V] < rv[:, None]).sum(axis=1) == rv).all(axis=0)]
+                keys = np.full((nu_cap + 1, ok.size), -1)
+                keys[0], keys[1], keys[2 : depth + 1] = s[par[ok]], a2[ok], Pp[1::2, ok]
+                closings.append(keys)
+            keep = ~(blocked | close)
             par, a2 = par[keep], a2[keep]
             kids.append((
                 s[par], a1[par], partner[a2],
@@ -488,34 +510,6 @@ def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, V: np.ndarray, yV: np.ndar
         own[np.arange(len(v))[:, None], v] = yV[lo : lo + step]
         ok[lo : lo + step] = ~blocking_mask(U, own, v).any(axis=(1, 2))
     return ok
-
-
-def _closing_candidates(Uf, UT, R, x, n, s, a1, b, P, Y, nu_cap):
-    """The sort keys (sample, a1, then the a2 of each step, -1 past the
-    last) of the paths of a block that close back to a1 into a stable
-    neighbour: b takes a1 as a worse partner and a1 takes b as a better one,
-    no path vertex blocks b or a1 at their closing utilities, and every
-    admirer that a worsening vertex prefers to its new partner is on the
-    cycle."""
-    sn = s * n
-    t = (sn + b) * n + a1
-    yc, ya1 = Uf[t], UT[t]
-    ok = np.flatnonzero((yc > x[sn + b]) & (ya1 < x[sn + a1]))
-    s, a1, b, P, Y, t, yc, ya1 = s[ok], a1[ok], b[ok], P[:, ok], Y[:, ok], t[ok], yc[ok], ya1[ok]
-    rb, ra = t - a1, (s * n + a1) * n
-    witness = np.zeros(ok.size, dtype=bool)
-    for j, yj in zip(P, Y):
-        witness |= (Uf[rb + j] < yc) & (UT[rb + j] < yj)
-        witness |= (Uf[ra + j] < ya1) & (UT[ra + j] < yj)
-    # the cycle's vertices, each worsening one (rows rw of R) before its new
-    # partner, whom it ranks below r admirers: all r must be on the cycle
-    V = np.vstack([P, b, a1])
-    rw = (s * n + V[0::2]) * n
-    r = R[rw + V[1::2]]
-    ok = ~witness & ((R[rw[:, None] + V] < r[:, None]).sum(axis=1) == r).all(axis=0)
-    keys = np.full((nu_cap + 1, ok.sum()), -1)
-    keys[0], keys[1], keys[2 : len(V) // 2 + 1] = s[ok], a1[ok], P[1::2, ok]
-    return keys
 
 
 def _stable_closings(g, partner, closings):

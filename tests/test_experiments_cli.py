@@ -12,6 +12,7 @@ import pytest
 
 from roommates import cli, experiments
 from roommates.cli import main
+from roommates.combinatorics import double_factorial, single_cycle_count
 from roommates.estimators import _conditional_x_batch, _fill_conditional_pairs
 from roommates.experiments import (
     ConfigError,
@@ -29,7 +30,7 @@ from roommates.experiments import (
 from roommates.instances import (
     InvalidInstanceError, RngStream, UtilityMatrix, rank_from_utilities
 )
-from roommates.matchings import Matching, is_stable, single_cycle_neighbors
+from roommates.matchings import Matching, blocking_mask, is_stable, single_cycle_neighbors
 from roommates.solvers import ENUM_CAP, ResourceCapError
 
 from conftest import reference_single_cycle_neighbors, reference_stability_masks
@@ -319,6 +320,49 @@ def test_neighbor_search_needs_no_full_check(monkeypatch, n, nu_cap):
     assert any(expected)
 
 
+@pytest.mark.parametrize("n, nu_cap, size", [(16, 5, 25368), (20, 4, 11130)])
+def test_stable_neighbor_search_matches_brute_force_past_12(n, nu_cap, size):
+    # every single-cycle neighbour, stable or not, as one stack of partner
+    # arrays, checked for a blocking pair over all n rows, 2048 at a time
+    m = Matching.consecutive(n)
+    partners = np.array([
+        nb.partner for nu in range(2, nu_cap + 1) for nb in single_cycle_neighbors(m, nu)
+    ])
+    assert partners.shape == (size, n)
+    Us = _conditioned_stack(n, 8, 4600 + n)
+    total = 0
+    for U, found in zip(Us, stable_single_cycle_neighbors(Us, m, nu_cap)):
+        stable = []
+        for lo in range(0, size, 2048):
+            p = partners[lo : lo + 2048]
+            own = U[np.arange(n), p]
+            rows = np.broadcast_to(np.arange(n), p.shape)
+            stable.append(~blocking_mask(U, own, rows).any(axis=(1, 2)))
+        brute = sorted(
+            tuple((i, p[i]) for i in range(n) if p[i] != m[i])
+            for p in partners[np.concatenate(stable)].tolist()
+        )
+        assert sorted(tuple(sorted(d.items())) for _, d in found) == brute
+        total += len(brute)
+    assert total >= 4
+
+
+def test_neighbor_search_rejects_unstable_reference():
+    # the search's closing rule holds only for a stable m: on an unstable one
+    # it used to return a wrong list without a word
+    n = 8
+    m = Matching.consecutive(n)
+    Us = _conditioned_stack(n, 2, 4500)
+    # agents 0 and 2 come to prefer each other to their partners 1 and 3
+    Us[1, 0, 2], Us[1, 2, 0] = Us[1, 0, 1] / 2, Us[1, 2, 3] / 2
+    message = "m is not stable in sample 1: agents 0 and 2 block it"
+    with pytest.raises(InvalidInstanceError, match=message):
+        stable_single_cycle_neighbors(Us, m, 4)
+    with pytest.raises(InvalidInstanceError, match="sample 0: agents 0 and 2"):
+        stable_single_cycle_neighbors(Us[1], m, 4)
+    stable_single_cycle_neighbors(Us[0], m, 4)
+
+
 def test_scaling_row_fields():
     cfg = ExperimentConfig(
         kind="scaling", n_grid=(4, 6), replicates=500, master_seed=3, workers=1
@@ -507,6 +551,17 @@ def test_cli_counts_checks_agent_count_first(capsys, n):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"agent count must be an even integer >= 4, got {n}" in err
+
+
+def test_cli_counts_past_exact_limit(capsys):
+    # past the exact limit a count is its log: exp() of it used to overflow
+    # into a traceback at n = 10002
+    assert main(["counts", "--n", "10002"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    log_df = double_factorial(10001).log_value
+    assert lines[0] == f"n = 10002: perfect matchings (n-1)!! = exp({log_df!r})"
+    assert len(lines) == 2 + 5000
+    assert lines[2].split() == ["2", f"exp({single_cycle_count(10002, 2).log_value!r})"]
 
 
 def test_cli_estimate_json_record():
