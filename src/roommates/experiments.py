@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from .estimators import (
     gpi_rows,
 )
 from .instances import InvalidInstanceError, RngStream, check_agent_count, preference_rows
-from .matchings import Matching, blocking_mask
+from .matchings import Matching
 from .solvers import _SEARCH_BYTES, ENUM_CAP, ResourceCapError, count_stable_stack, irving_decide
 
 MERTENS_COEFF = math.e * math.sqrt(2.0 / math.pi)
@@ -367,7 +368,8 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     _SEARCH_BYTES, and the cycles come out in depth-first order: by a1,
     then by the a2 of each step, a cycle before its extensions.  Raises
     ResourceCapError when the search expands more than SEARCH_NODE_CAP
-    nodes on one sample, and InvalidInstanceError when ``m`` is not stable.
+    nodes on one sample, and InvalidInstanceError when ``m`` is not stable
+    or ``U`` does not have its agent count.
     The step's own tests decide each closing exactly: as ``m`` is stable,
     only a worsening vertex can block with an agent off the cycle, and does
     so exactly when it prefers one of its admirers there to its new
@@ -376,6 +378,8 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     """
     Ug = U if U.ndim == 3 else U[None]
     g, n = len(Ug), m.n
+    if Ug.shape[1:] != (n, n):
+        raise InvalidInstanceError(f"U of shape {U.shape} for a matching of {n} agents")
     partner = np.array(m.partner)
     x = Ug[:, np.arange(n), partner].ravel()  # x[s n + i]: i's partner utility
     Uf = Ug.ravel()  # Uf[(s n + i) n + j] = U[s, i, j]
@@ -495,21 +499,23 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     return found if U.ndim == 3 else found[0]
 
 
-def _neighbor_is_stable(U: np.ndarray, x: np.ndarray, V: np.ndarray, yV: np.ndarray) -> np.ndarray:
-    """Full stability check, one bool per row, of the matchings that differ
-    from the reference (partner utilities ``x``) on a row of vertices ``V``
-    with new utilities ``yV``; a row may repeat a vertex as padding.  Valid
-    when the reference is stable: a pair outside the difference cannot block.
-    The census's d3 check of merged pairs, and the tests' reference search."""
-    ok = np.zeros(len(V), dtype=bool)
-    # a row's rows and columns of U take about 20 bytes per column and agent
-    step = max(1, _SEARCH_BYTES // (20 * V.shape[1] * len(x)))
-    for lo in range(0, len(V), step):
-        v = V[lo : lo + step]
-        own = np.tile(x, (len(v), 1))
-        own[np.arange(len(v))[:, None], v] = yV[lo : lo + step]
-        ok[lo : lo + step] = ~blocking_mask(U, own, v).any(axis=(1, 2))
-    return ok
+def _neighbor_is_stable(U: np.ndarray, found: list) -> np.ndarray:
+    """Stability of the merge of each vertex-disjoint pair of the stable
+    single-cycle neighbours ``found`` of one instance ``U``, in their order.
+    A merge is stable iff no vertex of one cycle and vertex of the other
+    prefer each other to their new partners: any other pair has the same
+    partners in one of the two neighbours, which are stable."""
+    maps = [new for _, new in found]
+    pairs = [(a, b) for a, b in combinations(range(len(maps)), 2) if maps[a].keys().isdisjoint(maps[b])]
+    if not pairs:
+        return np.zeros(0, dtype=bool)
+    V, W = np.array([vw for new in maps for vw in new.items()]).T
+    off = [0, *accumulate(map(len, maps[:-1]))]  # each cycle's first row
+    with np.errstate(invalid="ignore"):
+        prefers = U[V[:, None], V] < U[V, W][:, None]  # v prefers w to its new partner
+    blocked = np.logical_or.reduceat(np.logical_or.reduceat(prefers & prefers.T, off, 0), off, 1)
+    a, b = np.array(pairs).T
+    return ~blocked[a, b]
 
 
 def _stable_closings(g, partner, closings):
@@ -528,6 +534,9 @@ def _stable_closings(g, partner, closings):
 
 
 def _census_chunk(args) -> dict[str, np.ndarray]:
+    """Per sample of one census chunk: log-weight, stable neighbours per
+    half-length, their vertex-disjoint pairs and those whose merge is not
+    stable (d1, d3), the GPI event and X at n <= enum_cap (-1 above)."""
     master_seed, n, chunk_id, count, rate, nu_cap, enum_cap = args
     gen = _chunk_stream(master_seed, "census", n, chunk_id).generator()
     m = Matching.consecutive(n)
@@ -547,19 +556,9 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
         for k, U, found in zip(range(lo, count), Ug, stable_single_cycle_neighbors(Ug, m, nu_cap)):
             for nu, _ in found:
                 xcirc[k, nu - 2] += 1
-            # each vertex-disjoint pair of found maps as one row of (vertex,
-            # new partner) items, padded by repeating its first
-            pairs = [
-                [*(first | second).items()]
-                for a, (_, first) in enumerate(found)
-                for _, second in found[a + 1 :]
-                if first.keys().isdisjoint(second)
-            ]
-            if pairs:
-                VW = np.array([p + p[:1] * (4 * nu_cap - len(p)) for p in pairs])
-                V, W = VW[..., 0], VW[..., 1]
-                disjoint_pairs[k] = len(pairs)
-                failing_pairs[k] = len(pairs) - _neighbor_is_stable(U, X[k], V, U[V, W]).sum()
+            if len(found) > 1:
+                ok = _neighbor_is_stable(U, found)
+                disjoint_pairs[k], failing_pairs[k] = ok.size, ok.size - ok.sum()
     cycles = xcirc.sum(axis=1)
     return {
         "logw": logw,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from roommates.estimators import exact_small_integral
-from roommates.experiments import _neighbor_is_stable
 from roommates.instances import PreferenceProfile
-from roommates.matchings import Matching
+from roommates.matchings import Matching, blocking_mask
 from roommates.solvers import enumerate_stable
 
 
@@ -132,8 +131,11 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
                     cand = {v: path[i ^ 1][0] for i, (v, _) in enumerate(path)}
                     cand[b] = a1
                     cand[a1] = b
+                    # a full check of every pair of agents
+                    own = x.copy()
                     v, w = np.array([*cand.items()]).T
-                    if _neighbor_is_stable(U, x, v[None], U[v, w][None])[0]:
+                    own[v] = U[v, w]
+                    if not blocking_mask(U, own).any():
                         out.append((depth, cand))
         if depth >= nu_cap:
             return

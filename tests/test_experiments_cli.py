@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roommates import cli, experiments
+from roommates import cli, experiments, matchings
 from roommates.cli import main
 from roommates.combinatorics import double_factorial, single_cycle_count
 from roommates.estimators import _conditional_x_batch, _fill_conditional_pairs
@@ -148,45 +148,25 @@ def test_stable_neighbor_search_order_pinned(n, nu_cap):
 
 
 def test_neighbor_is_stable_matches_double_loop():
-    # every single-cycle neighbour up to nu=3, stable or not, and the union
-    # of each vertex-disjoint pair of them, as the census's d3 check merges,
-    # checked as one stack per instance: each diff padded to the widest row
-    # by repeating its first vertex, and again by repeating its last
-    gen = np.random.default_rng(37)
-    outcomes = set()
-    for n in (8, 10, 12):
+    # every vertex-disjoint pair of found neighbours, merged as the census's
+    # d3 check merges them, against the double loop over all pairs of agents
+    for n, nu_cap, samples in [(12, 5, 400), (20, 8, 200), (50, 5, 100)]:
         m = Matching.consecutive(n)
-        diffs = [
-            {i: nb[i] for i in range(n) if nb[i] != m[i]}
-            for nu in (2, 3)
-            for nb in single_cycle_neighbors(m, nu)
-        ]
-        merged = [
-            {**a, **b}
-            for k, a in enumerate(diffs)
-            for b in diffs[k + 1 :]
-            if not a.keys() & b.keys()
-        ]
-        for _ in range(2):
-            X, _ = _conditional_x_batch(m, 1, gen)
-            U = _fill_conditional_pairs(m, X[0], gen)
+        Us = _conditioned_stack(n, samples, 4700 + n)
+        outcomes = []
+        for U, found in zip(Us, stable_single_cycle_neighbors(Us, m, nu_cap)):
             expected = []
-            for diff in diffs + merged:
-                partner = list(m.partner)
-                for i, j in diff.items():
-                    partner[i] = j
-                expected.append(reference_stability_masks(U[None], Matching(tuple(partner)))[0])
-            rows = [[*d.items()] for d in diffs + merged]
-            width = max(map(len, rows))
-            VW = np.array(
-                [r + r[:1] * (width - len(r)) for r in rows]
-                + [r + r[-1:] * (width - len(r)) for r in rows]
-            )
-            V, W = VW[..., 0], VW[..., 1]
-            got = _neighbor_is_stable(U, X[0], V, U[V, W])
-            assert got.tolist() == expected * 2, n
-            outcomes.update(map(bool, expected))
-    assert outcomes == {True, False}
+            for k, (_, first) in enumerate(found):
+                for _, second in found[k + 1 :]:
+                    if first.keys().isdisjoint(second):
+                        partner = list(m.partner)
+                        for i, j in (first | second).items():
+                            partner[i] = j
+                        merged = Matching(tuple(partner))
+                        expected.append(bool(reference_stability_masks(U[None], merged)[0]))
+            assert _neighbor_is_stable(U, found).tolist() == expected, n
+            outcomes += expected
+        assert set(outcomes) == {True, False}, n
 
 
 # sha256 prefixes of every array _census_chunk returns, from the search
@@ -305,8 +285,9 @@ def test_census_chunk_independent_of_search_groups(monkeypatch, n, nu_cap):
 
 @pytest.mark.parametrize("n, nu_cap", [(12, 5), (20, 8), (50, 5)])
 def test_neighbor_search_needs_no_full_check(monkeypatch, n, nu_cap):
-    # the search decides each closing with its own exact tests: the full
-    # stability check, which the reference still runs, is never reached
+    # the search decides each closing with its own exact tests, and the d3
+    # check of merged pairs tests the pairs across the two cycles only: the
+    # full stability check, which the reference still runs, is never reached
     m = Matching.consecutive(n)
     Us = _conditioned_stack(n, 24, 4400 + n)
     expected = [_as_items(reference_single_cycle_neighbors(U, m, nu_cap)[0]) for U in Us]
@@ -314,8 +295,13 @@ def test_neighbor_search_needs_no_full_check(monkeypatch, n, nu_cap):
     def full_check(*args):
         raise AssertionError("full stability check called")
 
+    monkeypatch.setattr(matchings, "blocking_mask", full_check)
+    monkeypatch.setattr(experiments, "blocking_mask", full_check, raising=False)
+    (args,) = [args for args in _PINNED_CENSUS_CHUNKS if args[1] == n and args[5] == nu_cap]
+    out = _census_chunk(args)
+    digests = {k: hashlib.sha256(v.tobytes()).hexdigest()[:16] for k, v in out.items()}
+    assert digests == _PINNED_CENSUS_CHUNKS[args]
     monkeypatch.setattr(experiments, "_neighbor_is_stable", full_check)
-    monkeypatch.setattr(experiments, "blocking_mask", full_check)
     assert [_as_items(f) for f in stable_single_cycle_neighbors(Us, m, nu_cap)] == expected
     assert any(expected)
 
@@ -361,6 +347,15 @@ def test_neighbor_search_rejects_unstable_reference():
     with pytest.raises(InvalidInstanceError, match="sample 0: agents 0 and 2"):
         stable_single_cycle_neighbors(Us[1], m, 4)
     stable_single_cycle_neighbors(Us[0], m, 4)
+
+
+def test_neighbor_search_rejects_other_agent_count():
+    Us = _conditioned_stack(12, 2, 4500)
+    message = r"U of shape \(12, 12\) for a matching of 10 agents"
+    with pytest.raises(InvalidInstanceError, match=message):
+        stable_single_cycle_neighbors(Us[0], Matching.consecutive(10), 4)
+    with pytest.raises(InvalidInstanceError, match=r"shape \(2, 12, 12\) for a matching of 14"):
+        stable_single_cycle_neighbors(Us, Matching.consecutive(14), 4)
 
 
 def test_scaling_row_fields():
