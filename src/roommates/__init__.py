@@ -21,7 +21,6 @@ from .matchings import (
     Matching,
     OrientedDifference,
     blocking_pairs,
-    combine,
     is_stable,
     iter_perfect_matchings,
     orient,

@@ -27,7 +27,7 @@ from .experiments import (
     reference_with_cycles,
     run_experiment,
 )
-from .exponent import tstar_closed_form, tstar_grid_search
+from .exponent import GRID_FLOOR, tstar_closed_form, tstar_grid_search
 from .instances import (InstanceParseError, InvalidInstanceError, RngStream, TieError,
                         check_agent_count, parse_instance)
 from .matchings import Matching, symmetric_difference
@@ -184,8 +184,8 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_tstar(args) -> int:
-    if args.grid is not None and not 0 < args.grid < math.inf:
-        raise ConfigError(f"--grid must be positive and finite, got {args.grid}")
+    if args.grid is not None and not GRID_FLOOR <= args.grid < math.inf:
+        raise ConfigError(f"--grid must be finite and at least {GRID_FLOOR:g}, got {args.grid}")
     record = dict(vars(tstar_closed_form()))
     if args.grid is not None:
         grid = dict(vars(tstar_grid_search(args.grid)), resolution=args.grid)

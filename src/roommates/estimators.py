@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -101,17 +101,13 @@ class Estimate:
         )
 
 
-_GPI_CONVENTION = (
-    "statistics on the raw [0,1] utility scale: sum x_i vs sqrt(n) within "
-    "10 log n, max x_i vs log^2(n)/sqrt(n), sum over matched pairs of "
-    "x_i x_j vs 1/2 within n^(-1/3), sum x_i^2 vs 2 within n^(-1/3)"
-)
-
-
 @dataclass(frozen=True)
 class GpiReport:
     """The four quasirandomness sub-events on a partner-utility vector,
-    with the measured statistics and the scale convention used."""
+    with the measured statistics.  The statistics are on the raw [0,1]
+    utility scale: sum x_i vs sqrt(n) within 10 log n, max x_i vs
+    log^2(n)/sqrt(n), sum over matched pairs of x_i x_j vs 1/2 within
+    n^(-1/3), sum x_i^2 vs 2 within n^(-1/3)."""
 
     n: int
     sum_x: float
@@ -122,7 +118,6 @@ class GpiReport:
     max_ok: bool
     pair_ok: bool
     square_ok: bool
-    convention: str = field(default=_GPI_CONVENTION, repr=False)
 
     @property
     def holds(self) -> bool:

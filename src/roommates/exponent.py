@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _LOG2 = math.log(2.0)
+# Finest grid resolution accepted: at 1e-5 the search takes seconds, while
+# at 1e-6 its first zoom level has ~2.3e11 points and runs for hours.
+GRID_FLOOR = 1e-5
 
 
 def objective(alpha: float, gamma: float, s: float) -> float:
@@ -108,7 +111,8 @@ def _objective_slice(alphas: np.ndarray, gammas: np.ndarray, s: float) -> np.nda
 def tstar_grid_search(resolution: float = 1e-4) -> ExponentSolution:
     """Independent oracle for the closed form: dense grid over
     alpha in [0, 1/4], gamma in [0, 0.3], s in [0, 3], refined by two
-    nested zoom levels down to a step of ``resolution`` per coordinate.
+    nested zoom levels down to a step of ``resolution`` (at least
+    ``GRID_FLOOR``) per coordinate.
 
     Each zoom restricts to the bounding box of all grid points within a
     Lipschitz margin of the incumbent, so the flat ridge of the objective
@@ -117,8 +121,8 @@ def tstar_grid_search(resolution: float = 1e-4) -> ExponentSolution:
     above the margin exactly when its maximum does, and keeping the slices
     would hold the level's whole grid in memory.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not GRID_FLOOR <= resolution < math.inf:
+        raise ValueError(f"resolution must be finite and at least {GRID_FLOOR:g}, got {resolution}")
     step = max(resolution, min(100.0 * resolution, 0.01))
     box = [(0.0, 0.25), (0.0, 0.3), (0.0, 3.0)]
     best_val, best_pt = -math.inf, (0.0, 0.0, 0.0)

@@ -124,15 +124,6 @@ class PreferenceProfile:
         object.__setattr__(self, "_pref", pref)
         object.__setattr__(self, "_position", pos)
 
-    def rank_of(self, i: int, a: int) -> int:
-        """Position of agent ``a`` in ``i``'s list (0 = most preferred)."""
-        if a == i:
-            raise ValueError("an agent does not rank itself")
-        return int(self._position[i, a])
-
-    def prefers(self, i: int, a: int, b: int) -> bool:
-        return self.rank_of(i, a) < self.rank_of(i, b)
-
     def pref_matrix(self) -> np.ndarray:
         """(n, n-1) read-only int array of rankings, row i = agents in i's
         order."""

@@ -3,8 +3,7 @@
 The symmetric difference of two perfect matchings on the same agents is a
 disjoint union of even cycles of length at least 4 that alternate between
 the two matchings.  Matchings at symmetric-difference distance one cycle
-from a reference are the building blocks of the census experiments; the
-``combine`` operation merges vertex-disjoint differences into one matching.
+from a reference are the building blocks of the census experiments.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .instances import PreferenceProfile
-
-
-class DisjointnessError(ValueError):
-    """Symmetric differences overlap where vertex-disjointness is required."""
 
 
 @dataclass(frozen=True)
@@ -66,16 +61,6 @@ class Matching:
         """Text form ``1-2 3-4 ...`` (1-indexed, sorted by smaller endpoint)."""
         return " ".join(f"{i + 1}-{j + 1}" for i, j in self.pairs())
 
-    @staticmethod
-    def from_text(text: str, n: int | None = None) -> "Matching":
-        pairs = []
-        for tok in text.split():
-            a, _, b = tok.partition("-")
-            pairs.append((int(a) - 1, int(b) - 1))
-        if n is None:
-            n = 2 * len(pairs)
-        return Matching.from_pairs(n, pairs)
-
 
 def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     """Rotate to minimum vertex first, then pick the lexicographically
@@ -114,10 +99,6 @@ class CycleDecomposition:
     def total_length(self) -> int:
         """Total edge count of the symmetric difference."""
         return sum(len(cyc) for cyc in self.cycles)
-
-    @property
-    def half_lengths(self) -> tuple[int, ...]:
-        return tuple(len(cyc) // 2 for cyc in self.cycles)
 
     def is_empty(self) -> bool:
         return not self.cycles
@@ -160,13 +141,6 @@ class OrientedDifference:
     a_side: frozenset[int]
     b_side: frozenset[int]
     valid: bool
-
-    def side(self, v: int) -> str:
-        if v in self.a_side:
-            return "A"
-        if v in self.b_side:
-            return "B"
-        raise KeyError(f"vertex {v} is not in the difference set")
 
 
 def orient(
@@ -256,24 +230,6 @@ def single_cycle_neighbors(m: Matching, nu: int) -> Iterator[Matching]:
                     partner[exit_v] = enter_v
                     partner[enter_v] = exit_v
                 yield Matching(tuple(partner))
-
-
-def combine(m: Matching, m1: Matching, m2: Matching) -> Matching:
-    """Merge two vertex-disjoint differences: the result agrees with ``m1``
-    on its difference vertices, with ``m2`` on its own, and with ``m``
-    elsewhere."""
-    if not (m.n == m1.n == m2.n):
-        raise ValueError("matchings must cover the same agents")
-    v1 = {i for i in range(m.n) if m1[i] != m[i]}
-    v2 = {i for i in range(m.n) if m2[i] != m[i]}
-    if v1 & v2:
-        raise DisjointnessError("symmetric differences share vertices")
-    partner = list(m.partner)
-    for i in v1:
-        partner[i] = m1[i]
-    for i in v2:
-        partner[i] = m2[i]
-    return Matching(tuple(partner))
 
 
 def iter_perfect_matchings(n: int) -> Iterator[Matching]:

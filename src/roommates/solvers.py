@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import InvalidInstanceError, PreferenceProfile, check_agent_count, preference_rows
-from .matchings import Matching, symmetric_difference
+from .matchings import Matching
 
 
 class ResourceCapError(RuntimeError):
@@ -45,20 +45,10 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Exhaustive stable-matching count, optionally with the matchings and
-    a histogram of their distances to a reference matching keyed by
-    (cycle count, total symmetric-difference edge count)."""
+    """Exhaustive stable-matching count, optionally with the matchings."""
 
     X: int
     stable_list: tuple[Matching, ...] | None = None
-    per_distance: dict[tuple[int, int], int] | None = None
-
-    def single_cycle_marginal(self, nu: int) -> int:
-        """Count of stable matchings one cycle of length 2*nu from the
-        reference (requires per_distance)."""
-        if self.per_distance is None:
-            raise ValueError("census was run without a reference matching")
-        return self.per_distance.get((1, 2 * nu), 0)
 
 
 def irving_decide(pref: np.ndarray, score: np.ndarray):
@@ -266,10 +256,9 @@ def enumerate_stable(
     limit: int | None = None,
     *,
     materialize: bool = True,
-    reference: Matching | None = None,
 ) -> CensusResult:
-    """Count (and optionally list) every stable matching by depth-first
-    search over perfect matchings.
+    """Count every stable matching by depth-first search over perfect
+    matchings, and list them unless ``materialize`` is False.
 
     The search always matches the lowest-index unmatched agent next and
     discards any partial matching whose fully-decided pairs already contain
@@ -342,20 +331,7 @@ def enumerate_stable(
             partner[j] = -1
 
     dfs(0, 0)
-    per_distance = None
-    if reference is not None:
-        if not materialize:
-            raise ValueError("distance histogram requires materialized matchings")
-        per_distance = {}
-        for m in found:
-            dec = symmetric_difference(reference, m)
-            key = (dec.mu, dec.total_length)
-            per_distance[key] = per_distance.get(key, 0) + 1
-    return CensusResult(
-        X=count,
-        stable_list=tuple(found) if materialize else None,
-        per_distance=per_distance,
-    )
+    return CensusResult(X=count, stable_list=tuple(found) if materialize else None)
 
 
 def count_stable_stack(U: np.ndarray) -> np.ndarray:

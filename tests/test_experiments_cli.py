@@ -413,7 +413,7 @@ def test_reference_with_cycles():
     from roommates.matchings import symmetric_difference
 
     dec = symmetric_difference(m, m1)
-    assert dec.mu == 2 and sorted(dec.half_lengths) == [2, 3]
+    assert dec.mu == 2 and sorted(len(c) // 2 for c in dec.cycles) == [2, 3]
     with pytest.raises(ConfigError):
         reference_with_cycles(6, [4, 4])
     with pytest.raises(ConfigError):
@@ -597,11 +597,17 @@ def test_cli_exit_codes(tmp_path):
     [
         (["estimate", "ex", "--n", "10", "--samples", "500"], "--samples"),
         (["tstar", "--grid", "0"], "--grid"),
+        (["tstar", "--grid", "1e-7"], "--grid"),
     ],
 )
-def test_bad_estimate_and_grid_values_name_their_flag(capsys, argv, flag):
+def test_bad_estimate_and_grid_values_name_their_flag(capsys, monkeypatch, argv, flag):
     # these used to reach exit 2 only as ValueErrors of the library, which
-    # named no flag
+    # named no flag; a grid below the floor used to start a search that ran
+    # for hours, so the search must not be reached at all
+    def no_search(*args, **kwargs):
+        raise AssertionError("the grid search ran")
+
+    monkeypatch.setattr(cli, "tstar_grid_search", no_search)
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
 

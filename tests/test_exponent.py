@@ -101,8 +101,9 @@ def test_grid_search_agrees_with_closed_form():
     for sol in (coarse, fine):
         assert sol.t_star <= cf.t_star + 1e-9
         assert sol.t_star == min(sol.objective_terms)
-    with pytest.raises(ValueError):
-        tstar_grid_search(0.0)
+    for bad in (0.0, math.inf):
+        with pytest.raises(ValueError, match="resolution"):
+            tstar_grid_search(bad)
 
 
 def test_grid_search_pinned_in_bounded_memory():
