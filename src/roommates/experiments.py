@@ -31,7 +31,7 @@ from .estimators import (
     expected_count_log_weights,
     gpi_rows,
 )
-from .instances import InvalidInstanceError, RngStream, check_agent_count, preference_rows
+from .instances import InvalidInstanceError, RngStream, check_agent_count, preference_window
 from .matchings import Matching
 from .solvers import _SEARCH_BYTES, ENUM_CAP, ResourceCapError, count_stable_stack, irving_decide
 
@@ -189,23 +189,26 @@ def _chunk_stream(master_seed: int, kind: str, n: int, chunk: int) -> RngStream:
     return RngStream(master_seed, sid)
 
 
-def _block_width(n: int) -> int:
-    """Columns of a scaling instance's preference block.  Phase 1 of
-    irving_decide runs off its end in about one row per instance at n=100
-    and half a row at n=1000 (8 and 11 rows at half this width); such a
-    row is extended from the utilities."""
-    return min(n - 1, 2 * math.isqrt(n) + 1)
+# Agents per row, on average, of a scaling instance's preference window.
+# Phase 1 of irving_decide runs past the window, and lists the row again
+# from the utilities, on about 48 rows per instance at n=1000 (127 at 16
+# agents, 17 at 32; 40 instances) and on 0.9 rows at n=100.  The window's
+# build grows with its width and the extensions shrink: scaling runs at
+# n=1000 on two workers took the same time at 16, 20, 24 and 32 within the
+# host's noise.
+_WINDOW_AGENTS = 24
 
 
 def _random_pref_score(gen: np.random.Generator, n: int):
-    """Uniform utilities with a sentinel diagonal, and the first
-    min(n-1, 2 isqrt(n) + 1) agents of each row in preference order (self
-    excluded): the block ``irving_decide`` starts phase 1 from.  The raw
+    """Uniform utilities with a sentinel diagonal, and the window of each
+    row's agents with utility below min(_WINDOW_AGENTS / n, 1) in
+    preference order, packed as ``preference_window`` gives it: the prefix
+    of each row that ``irving_decide`` starts phase 1 from.  The raw
     utilities serve as the comparison scores, so neither a rank matrix nor
     a full n x n argsort is ever built."""
     u = gen.random((n, n))
     np.fill_diagonal(u, 2.0)
-    return preference_rows(u, _block_width(n)), u
+    return preference_window(u, min(_WINDOW_AGENTS / n, 1.0)), u
 
 
 # Peak bytes per entry of an ex-scaling batch (rows x n): the draws' one
@@ -222,12 +225,21 @@ _EX_BYTES_PER_ENTRY = 10
 _CENSUS_BYTES_PER_N2 = 30
 
 
+def _pool_size(config: ExperimentConfig) -> int:
+    """Worker processes a run starts: ``workers``, but at most one per chunk
+    and one per CPU this process may run on.  A fork-start pool forks every
+    worker at its first task, so an unclamped count is that many processes."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(config.workers, config.chunks(), cpus)
+
+
 def _check_memory(config: ExperimentConfig, worker_bytes) -> None:
     """Raise ResourceCapError, before any work, when the run's workers,
     each holding ``worker_bytes(n)`` at the largest n, do not fit in the
     host's physical memory."""
     n = max(config.n_grid)
-    workers = min(config.workers, config.chunks())
+    workers = _pool_size(config)
     need = workers * worker_bytes(n)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -259,9 +271,9 @@ def _ex_chunk(args) -> np.ndarray:
 
 
 def _run_chunks(worker, arglist, workers: int):
-    if workers <= 1 or len(arglist) <= 1:
+    if workers <= 1:
         return [worker(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arglist))
 
 
@@ -278,7 +290,7 @@ def _run_grid(config: ExperimentConfig, kind: str, chunk, extra: tuple, row) -> 
         t0 = time.perf_counter()
         sizes = batch_sizes(config.work(), config.chunk_len())
         args = [(config.master_seed, n, ci, cnt, *extra) for ci, cnt in enumerate(sizes)]
-        make_row = row(n, _run_chunks(chunk, args, config.workers))
+        make_row = row(n, _run_chunks(chunk, args, _pool_size(config)))
         rows.append(make_row(wall_time=time.perf_counter() - t0))
     return rows
 
@@ -300,8 +312,12 @@ def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
         )
 
     # an instance peaks at its float64 utilities, the two n x n bool masks
-    # that irving_decide builds its live table from, and the preference block
-    _check_memory(config, lambda n: 10 * n * n + 8 * n * _block_width(n))
+    # that irving_decide builds its live table from, and the window: its
+    # offsets and about _WINDOW_AGENTS agents per row.  The traced peak of
+    # one instance was 10.67, 10.42 and 10.32 bytes per n^2 at n = 1000, 2000
+    # and 3000, of which the window is 0.20, 0.10 and 0.07 and phase 2's
+    # live table most of the rest.
+    _check_memory(config, lambda n: 10 * n * n + 8 * n * (min(n - 1, _WINDOW_AGENTS) + 1))
     return _run_grid(config, "scaling", _scaling_chunk, (), row)
 
 

@@ -135,11 +135,6 @@ class PreferenceProfile:
         return self._position
 
 
-# Entries ranked at once by preference_rows: a slab's index array is 512 KB,
-# 65 rows at n = 1000 and the whole array up to n = 256.
-_SLAB_ENTRIES = 1 << 16
-
-
 def sample_utilities(n: int, rng: RngStream | Generator) -> UtilityMatrix:
     """Draw all n(n-1) off-diagonal utilities i.i.d. uniform on [0,1]."""
     check_agent_count(n)
@@ -149,28 +144,36 @@ def sample_utilities(n: int, rng: RngStream | Generator) -> UtilityMatrix:
     return UtilityMatrix(n, u)
 
 
-def preference_rows(u: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Preference lists of (m, n) utility rows: the first ``k`` agents of
-    each row in ascending utility, (m, k); ``k`` defaults to n-1, the full
-    lists.  Each row's own agent must sort last (a NaN, or any value above
-    the others), so it is never among the first n-1.  Full lists come from
-    one argsort.  Shorter ones are ranked in slabs by a partition at ``k``
-    and a sort of the k kept columns, so no (m, n) index array is held when
-    the output is smaller than one."""
-    n = u.shape[1]
-    k = n - 1 if k is None else k
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
-    if k == n - 1:
-        return np.argsort(u, axis=1)[:, :k]
-    out = np.empty((u.shape[0], k), dtype=np.intp)
-    step = max(1, _SLAB_ENTRIES // n)
-    for lo in range(0, u.shape[0], step):
-        slab = u[lo : lo + step]
-        top = np.argpartition(slab, k - 1, axis=1)[:, :k]
-        order = np.argsort(np.take_along_axis(slab, top, axis=1), axis=1)
-        out[lo : lo + step] = np.take_along_axis(top, order, axis=1)
-    return out
+def preference_rows(u: np.ndarray) -> np.ndarray:
+    """Preference lists of (m, n) utility rows: the other agents of each row
+    in ascending utility, (m, n-1), from one argsort.  Each row's own agent
+    must sort last (a NaN, or any value above the others)."""
+    return np.argsort(u, axis=1)[:, : u.shape[1] - 1]
+
+
+def preference_window(u: np.ndarray, t: float) -> np.ndarray:
+    """The agents that each row of an (n, n) score array scores below ``t``,
+    in ascending score, packed in one int array: n+1 offsets into the array
+    itself, then the rows' agents, row i at ``w[w[i]:w[i + 1]]``.  A row's own
+    agent is never listed, so with the diagonal above the row's other
+    entries every window row is a prefix of its ``preference_rows`` row.
+    The entries are sorted by score, then stably by row, which keeps each
+    row's order exact (a key such as ``row + u`` rounds u to the spacing at
+    the row's size)."""
+    n = u.shape[0]
+    below = u < t
+    np.fill_diagonal(below, False)
+    flat = np.flatnonzero(below)
+    del below
+    row_of = (flat // n).astype(np.min_scalar_type(n - 1))
+    order = np.argsort(np.take(u, flat))
+    order = order[np.argsort(row_of[order], kind="stable")]
+    w = np.empty(n + 1 + flat.size, dtype=np.intp)
+    w[0] = n + 1
+    np.cumsum(np.bincount(row_of, minlength=n), out=w[1 : n + 1])
+    w[1 : n + 1] += n + 1
+    np.remainder(flat[order], n, out=w[n + 1 :])
+    return w
 
 
 def rank_from_utilities(um: UtilityMatrix) -> PreferenceProfile:

@@ -59,29 +59,61 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
     above the row's other entries so that each agent sorts itself last.
     Working with score thresholds instead of rank positions keeps the hot
     path free of an auxiliary rank-matrix build.
-    ``pref``: (n, k) with 1 <= k <= n-1, the first k agents of each row in
-    preference order (best first), as ``preference_rows(score, k)`` gives;
-    k = n-1 is the full table.  A proposer that runs off the end of its
-    block has its row extended to the full list from ``score``, so the
-    result does not depend on k.
-    Phase 1 reads ``pref`` row by row; phase 2 never reads it, but runs on
-    a table of the entries alive after phase 1, built once from its
+    ``pref``: each row's first agents in preference order (best first),
+    either the full (n, n-1) table of ``preference_rows(score)`` or a window
+    packed as ``preference_window(score, t)`` gives it: n+1 offsets into the
+    array, then the rows, each up to n-1 agents long.  A proposer that runs
+    off the end of its row has the row listed again from ``score``, up to
+    four times the score of its last listed agent (the whole row when that
+    adds no agent or the score is not positive), so the result is that of
+    the full table.
+    Phase 1 reads ``pref`` as one flat array; phase 2 never reads it, but
+    runs on a table of the entries alive after phase 1, built once from its
     thresholds.  Scalars are read through memoryviews, which copy nothing
     and return Python numbers faster than numpy scalar indexing.
     Returns (partner list or None, proposal count, rotation count).
     """
     n = score.shape[0]
-    if pref.ndim != 2 or pref.shape[0] != n or not 1 <= pref.shape[1] <= n - 1:
-        raise ValueError(
-            f"pref must have {n} rows and 1 to {n - 1} columns, got shape {pref.shape}"
-        )
+    if pref.shape == (n, n - 1):
+        P = memoryview(pref.ravel())
+        start = list(range(0, n * (n - 1), n - 1))
+        end = start[1:] + [n * (n - 1)]
+    else:
+        ok = pref.ndim == 1 and pref.size > n
+        if ok:
+            lengths = np.diff(pref[: n + 1])
+            ok = pref[0] == n + 1 and pref[n] == pref.size and 0 <= lengths.min()
+            ok = ok and lengths.max() <= n - 1
+        if not ok:
+            raise ValueError(
+                f"pref must be an ({n}, {n - 1}) table or {n + 1} row offsets followed "
+                f"by the rows, got shape {pref.shape}"
+            )
+        P = memoryview(pref)
+        start = pref[:n].tolist()
+        end = pref[1 : n + 1].tolist()
     S = memoryview(score)
-    rows = [memoryview(r) for r in pref]
+    # x's row is rows[x][start[x]:end[x]], and nxt[x] its next position
+    # there; an extended row gets a list of its own
+    rows = [P] * n
     # ws[y]: y's table is truncated strictly below this score
     ws = [float("inf")] * n
     holder = [-1] * n
-    nxt = [0] * n
+    nxt = start[:]
     proposals = 0
+
+    def extend(x, lo, k):
+        # x's row lists its k best agents, scored up to lo: list it again up
+        # to the next band's edge, four times lo, or whole if that adds none
+        r = score[x]
+        top = S[x, x]
+        band = np.flatnonzero(r < (min(4 * lo, top) if lo > 0 else top))
+        if band.size == k:
+            band = np.flatnonzero(r < top)
+        rows[x] = row = band[np.argsort(r[band], kind="stable")].tolist()
+        start[x] = 0
+        end[x] = len(row)
+        return row
 
     # Phase 1: proposal chains with truncation below each held proposal.
     # An agent is exhausted once its pointer passes its list's end or enters
@@ -92,13 +124,14 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
             pos = nxt[x]
             thr = ws[x]
             row = rows[x]
-            end = len(row)
+            stop = end[x]
             while True:
-                if pos == end:
-                    if end == n - 1:
+                if pos == stop:
+                    pos = stop - start[x]
+                    if pos == n - 1:
                         return None, proposals, 0  # rejected by every agent
-                    row = rows[x] = memoryview(preference_rows(score[x : x + 1])[0])
-                    end = n - 1
+                    row = extend(x, S[x, row[stop - 1]] if pos else -np.inf, pos)
+                    stop = len(row)
                 y = row[pos]
                 if S[x, y] > thr:
                     return None, proposals, 0  # rejected by every admissible agent

@@ -647,12 +647,13 @@ def test_dead_worker_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_pool_starts_at_most_one_process_per_chunk(tmp_path, monkeypatch):
-    # the pool used to fork all --workers processes however few chunks the
-    # grid had; the fake records the count and maps in this process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    # a stand-in for the process pool: it records each pool's worker count
+    # and maps in this process, so no process starts
     started = []
 
-    class SerialPool:
+    class RecordingPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -665,14 +666,38 @@ def test_pool_starts_at_most_one_process_per_chunk(tmp_path, monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_pool_starts_at_most_one_process_per_chunk(tmp_path, pool_sizes):
+    # the pool used to fork all --workers processes however few chunks the
+    # grid had
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
     config = ExperimentConfig(kind="scaling", n_grid=(10,), replicates=20, chunk_size=10)
     run_experiment(replace(config, output=str(serial)))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     run_experiment(replace(config, workers=64, output=str(pooled)))
-    assert started == [2]
+    assert pool_sizes == [2]
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_pool_and_memory_check_clamp_workers_to_usable_cpus(tmp_path, monkeypatch, pool_sizes):
+    # a fork-start pool forks all its workers at its first task, so
+    # --workers 100000 over as many chunks used to fork 100000 processes,
+    # and the memory check sized that many workers only at the largest n
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    config = ExperimentConfig(kind="scaling", n_grid=(4,), replicates=20, chunk_size=1)
+    run_experiment(replace(config, output=str(serial)))
+    run_experiment(replace(config, workers=100_000, output=str(pooled)))
+    assert pool_sizes == [3]
+    assert pooled.read_bytes() == serial.read_bytes()
+    huge = replace(config, n_grid=(4, 1_000_000), replicates=100_000, workers=100_000)
+    with pytest.raises(ResourceCapError, match=r"^3 worker\(s\) at n=1000000 need"):
+        run_experiment(replace(huge, output=str(tmp_path / "huge.csv")))
+    assert pool_sizes == [3]
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

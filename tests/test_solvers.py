@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +13,7 @@ from roommates.instances import (
     RngStream,
     UtilityMatrix,
     preference_rows,
+    preference_window,
     rank_from_utilities,
     sample_profile,
     sample_utilities,
@@ -278,20 +278,51 @@ def test_scaling_counts_pinned():
         assert [row.count_exists for row in run_scaling(config)] == counts
 
 
-def test_block_width_does_not_change_result():
-    # irving_decide extends a row from the scores when phase 1 runs off the
-    # end of its block, so any block width gives the full table's result;
-    # k = 1 extends almost every row
+def _window_rows(w):
+    n = int(w[0]) - 1
+    return [w[w[i] : w[i + 1]].tolist() for i in range(n)]
+
+
+def test_window_threshold_does_not_change_result():
+    # irving_decide extends a row from the scores when phase 1 runs past the
+    # end of its window, so any threshold gives the full table's result.
+    # t = 0 empties every row, so each row is extended from nothing; t = 3
+    # fills every row and lies above the diagonal sentinel, which no window
+    # lists; 1/n extends most rows
     phase1_failures = 0
     for n, reps in ((4, 200), (8, 200), (12, 100), (14, 100), (50, 30), (200, 8), (1000, 2)):
         for r in range(reps):
             u = RngStream(5150 + n, r).generator().random((n, n))
             np.fill_diagonal(u, 2.0)
-            full = irving_decide(preference_rows(u), u)
-            for k in sorted({1, 2, min(n - 1, math.ceil(2 * math.sqrt(n))), n - 1}):
-                assert irving_decide(preference_rows(u, k), u) == full, (n, r, k)
+            full_rows = preference_rows(u)
+            full = irving_decide(full_rows, u)
+            for t in (0.0, 1 / n, 8 / n, 24 / n, 1.0, 3.0):
+                w = preference_window(u, t)
+                for i, row in enumerate(_window_rows(w)):
+                    assert row == full_rows[i, : len(row)].tolist(), (n, r, t, i)
+                    assert len(row) == (n - 1 if t >= 1 else np.count_nonzero(u[i] < t))
+                assert irving_decide(w, u) == full, (n, r, t)
             phase1_failures += full[0] is None and full[2] == 0
     assert phase1_failures >= 20
+
+
+def test_window_sorts_entries_one_ulp_apart_in_a_high_row():
+    # a key such as row + u rounds u to the spacing at the row's size
+    # (1.1e-13 near 999), so two entries one ulp apart in a high row would
+    # tie and keep their index order, here the reverse of their value order
+    n = 1000
+    u = RngStream(9901, 0).generator().random((n, n))
+    np.fill_diagonal(u, 2.0)
+    low = 1e-6
+    high = np.nextafter(low, 1.0)
+    assert 999 + low == 999 + high
+    u[999, 5], u[999, 7] = high, low
+    u[5, 999] = u[7, 999] = 1e-6 / 3  # both rank 999 first, so its choice counts
+    w = preference_window(u, 24 / n)
+    row = _window_rows(w)[999]
+    assert row[:2] == [7, 5]
+    assert row == preference_rows(u)[999, : len(row)].tolist()
+    assert irving_decide(w, u) == irving_decide(preference_rows(u), u)
 
 
 def test_solver_pinned_at_n1000():
@@ -314,11 +345,21 @@ def test_solver_pinned_at_n1000():
 
 def test_irving_decide_rejects_bad_pref_shape():
     # a block of width n holds each agent itself; it used to give (None, 4, 1)
-    # on this instance, whose full table gives (None, 3, 0)
+    # on this instance, whose full table gives (None, 3, 0).  A window never
+    # lists the agent itself, whatever its threshold, and the draws of a
+    # scaling instance at n = 4 fill every row below the sentinel
     u = RngStream(4, 114).generator().random((4, 4))
     np.fill_diagonal(u, 2.0)
     assert irving_decide(preference_rows(u), u) == (None, 3, 0)
+    for t in (24 / 4, 3.0):
+        assert irving_decide(preference_window(u, t), u) == (None, 3, 0)
+    w = preference_window(u, 3.0)  # offsets 5, 8, 11, 14, 17
+    long_row = w.copy()
+    long_row[1:4] += 1  # row 0 holds 4 agents
+    backwards = w.copy()
+    backwards[2] = w[1] - 1  # row 1 ends before it starts
+    bad_windows = [w[:4], w[1:], w[:-1], np.concatenate([w, w[-1:]]), long_row, backwards]
     for pref in (np.argsort(u, axis=1), preference_rows(u)[:, :0], preference_rows(u)[:3],
-                 preference_rows(u)[0]):
+                 preference_rows(u)[0], *bad_windows):
         with pytest.raises(ValueError, match="pref"):
             irving_decide(pref, u)
