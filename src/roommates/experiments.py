@@ -217,11 +217,14 @@ def _random_pref_score(gen: np.random.Generator, n: int):
 # entry from 4096 to 8192 rows and from 8192 to 16384 rows.
 _EX_BYTES_PER_ENTRY = 10
 # Peak bytes per n^2 of one census sample: its utilities, the fill's pair
-# indices and the neighbour search's tables.  Peak RSS of one sample at
-# nu_cap 5 was 29.8, 29.6, 29.5 and 29.5 bytes per n^2 at n = 1000, 2000,
-# 3000 and 4000, and grew by 29.5 per n^2 from 3000 to 4000.  The census
-# check adds the X batch at ex-scaling's _EX_BYTES_PER_ENTRY, not measured on
-# the census, as if both peaks coincided: an upper bound.
+# indices and the neighbour search's tables.  Peak RSS of one sample was
+# 30.4, 29.9, 29.9 and 30.0 bytes per n^2 at n = 1000, 2000, 3000 and 4000
+# with nu_cap 5 (35.4, 30.4, 29.9 and 30.0 with nu_cap 8), and grew by 30.0
+# per n^2 from 3000 to 4000 with either.  The census check adds the
+# search's prefix table and its stack of path blocks, at most one of
+# _SEARCH_BYTES per depth, which make the excess at n = 1000, and the X
+# batch at ex-scaling's _EX_BYTES_PER_ENTRY, not measured on the census, as
+# if all peaks coincided: an upper bound.
 _CENSUS_BYTES_PER_N2 = 30
 
 
@@ -359,12 +362,27 @@ def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
 
 # Search nodes (paths extended) that stable_single_cycle_neighbors may
 # expand on one instance before it raises ResourceCapError.  An instance
-# takes about 40 nodes at n=12 and 450 at n=50 with nu_cap 5, 2.5k at n=200
-# with nu_cap 5 and 120k (about 0.4 s) with nu_cap 8.
+# takes about 33 nodes at n=12 and 270 at n=50 with nu_cap 5, 1.2k at n=200
+# with nu_cap 5 and 5.6k with nu_cap 8, and 30k (about 0.12 s) at n=1000
+# with nu_cap 8.
 SEARCH_NODE_CAP = 1_000_000
 # The census search's group holds about _SEARCH_BYTES_PER_N2 per n^2 and
-# sample, and one slice of candidate rows, within _SEARCH_BYTES.
+# sample besides its prefix table, and one slice of candidate rows, within
+# _SEARCH_BYTES.  The traced peak of the search on one sample at n = 2000,
+# its 8 bytes per n^2 of utilities added, was 19.8 bytes per n^2 with
+# nu_cap 5 and 21.2 with nu_cap 8, prefix tables of 1.0 and 1.8 included.
 _SEARCH_BYTES_PER_N2 = 24
+
+
+def _prefix_table_bytes(n: int, nu_cap: int) -> int:
+    """Bytes of one sample's table of admirer prefixes in the census
+    search: at most 2 nu_cap - 2 sets of ceil(n / 64) words per agent."""
+    return (2 * nu_cap - 2) * 8 * -(-n // 64) * n
+
+
+def _search_group(n: int, nu_cap: int) -> int:
+    """Samples per call of the census search."""
+    return max(1, _SEARCH_BYTES // (_SEARCH_BYTES_PER_N2 * n * n + _prefix_table_bytes(n, nu_cap)))
 
 
 def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> list:
@@ -386,11 +404,17 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     ResourceCapError when the search expands more than SEARCH_NODE_CAP
     nodes on one sample, and InvalidInstanceError when ``m`` is not stable
     or ``U`` does not have its agent count.
-    The step's own tests decide each closing exactly: as ``m`` is stable,
-    only a worsening vertex can block with an agent off the cycle, and does
-    so exactly when it prefers one of its admirers there to its new
-    partner.  A 2-D call pays the fixed numpy cost of every depth, so
-    callers with many instances pass a stack.
+    Each path carries its pending set as bits: the admirers that its b's
+    prefer to their new partners, less a1 and the path's vertices.  Each
+    would block unless a later step takes it as an improving vertex, so a
+    step is dropped when the set holds more agents than the steps left can
+    take, or holds the b about to worsen.  The step's own tests decide each
+    closing exactly: as ``m`` is stable, only a worsening vertex can block
+    with an agent off the cycle, and does so exactly when it prefers one of
+    its admirers there to its new partner, so a closing needs an empty
+    pending set and no blocking pair on the cycle.  A 2-D call pays the
+    fixed numpy cost of every depth, so callers with many instances pass a
+    stack.
     """
     Ug = U if U.ndim == 3 else U[None]
     g, n = len(Ug), m.n
@@ -401,8 +425,8 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     Uf = Ug.ravel()  # Uf[(s n + i) n + j] = U[s, i, j]
     UT = Ug.transpose(0, 2, 1).ravel()  # UT[(s n + i) n + j] = U[s, j, i]
     # (b, j) for every j that prefers b to its partner (an admirer of b), as
-    # e = (s n + b) n + j in ascending order, and R[e] = j's rank in b's
-    # order of its admirers (n for a non-admirer)
+    # e = (s n + b) n + j in ascending order, and j's rank in b's order of
+    # its admirers
     with np.errstate(invalid="ignore"):
         e = np.flatnonzero(UT.reshape(g, n, n) < x.reshape(g, 1, n))
     key, ub = e // n, Uf[e]
@@ -414,22 +438,38 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             f"m is not stable in sample {sb // n}: agents {sb % n} and {j} block it"
         )
     order = np.lexsort((ub, key))
-    R = np.full(Uf.size, n, dtype=np.min_scalar_type(n))
-    R[e[order]] = np.arange(e.size) - np.searchsorted(key, key[order])
+    rank = np.empty(e.size, np.intp)
+    rank[order] = np.arange(e.size) - np.searchsorted(key, key[order])
     # candidates: admirers a2 that b would take only as a worse partner, and
     # with at most 2 nu_cap - 3 admirers below them, which a path can absorb
-    cand = e[(ub > xb) & (R[e] <= 2 * nu_cap - 3)]
+    keep = (ub > xb) & (rank <= 2 * nu_cap - 3)
+    cand, cand_r = e[keep], rank[keep]
     cand_a2 = cand % n
     coff = np.searchsorted(cand, np.arange(g * n + 1) * n)
+    # sets of agents as W words of bits: BIT[:, v] holds v alone, and
+    # PM[(s n + b) K + r] b's first r admirers in b's order, for every rank r
+    # a candidate can have
+    W, K = -(-n // 64), min(2 * nu_cap - 2, int(rank.max(initial=0)) + 1)
+    ids = np.arange(n)
+    BIT = np.zeros((W, n), np.uint64)
+    BIT[ids >> 6, ids] = np.uint64(1) << (ids & 63).astype(np.uint64)
+    head = rank < K - 1
+    PM = np.zeros((g * n, K, W), np.uint64)
+    PM[key[head], rank[head] + 1] = BIT[:, e[head] % n].T
+    for r in range(2, K):
+        PM[:, r] |= PM[:, r - 1]
+    PM = PM.reshape(-1, W)
     nodes = np.zeros(g, dtype=np.int64)
     closings = []
-    # a block of paths: sample, a1, current b, and the committed vertices
-    # and their new utilities, step i's (b, a2) in rows 2i and 2i + 1
+    # a block of paths: sample, a1, current b, the committed vertices and
+    # their new utilities, step i's (b, a2) in rows 2i and 2i + 1, and as
+    # bits a1 with the committed vertices and the pending admirers
     s0 = np.repeat(np.arange(g), n)
     a10 = np.tile(np.arange(n), g)
-    stack = [(s0, a10, partner[a10], np.empty((0, g * n), np.intp), np.empty((0, g * n)), 0, None)]
+    empty = np.empty((0, g * n), np.intp), np.empty((0, g * n))
+    stack = [(s0, a10, partner[a10], *empty, BIT[:, a10], np.zeros((W, g * n), np.uint64), 0, None)]
     while stack:
-        s, a1, b, P, Y, lo, start_cum = stack.pop()
+        s, a1, b, P, Y, used, pending, lo, start_cum = stack.pop()
         depth = len(P) // 2 + 1
         kb = s * n + b
         rb = kb * n
@@ -447,8 +487,9 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
         start, cum = start_cum
         # slices of nodes with at most rows_max candidate rows each, until
         # their extended paths fill a block: a row holds 16 bytes per
-        # committed vertex and about 128 in its other arrays
-        rows_max = _SEARCH_BYTES // (16 * (len(P) + 8))
+        # committed vertex and per word of its two bit sets, and about 128
+        # in its other arrays
+        rows_max = _SEARCH_BYTES // (16 * (len(P) + W + 8))
         left = nu_cap - depth - 1
         kids, kid_rows = [], 0
         while lo < len(s) and kid_rows < rows_max:
@@ -456,47 +497,42 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             hi = max(lo + 1, int(np.searchsorted(cum, base + rows_max, side="right")))
             c = np.diff(cum[lo:hi], prepend=base)
             par = np.repeat(np.arange(lo, hi), c)
-            a2 = cand_a2[np.arange(par.size) + np.repeat(start[lo:hi] + base - cum[lo:hi] + c, c)]
+            idx = np.arange(par.size) + np.repeat(start[lo:hi] + base - cum[lo:hi] + c, c)
+            a2, r = cand_a2[idx], cand_r[idx]
             lo = hi
             rbp = rb[par]
-            r = R[rbp + a2].astype(np.intp)
             # the r admirers that b prefers to a2 would block b's new match
-            # unless used: at most ``left`` may stay unused, to be absorbed as
-            # future improving vertices, and only a1 and the path can be used;
-            # a closing (a2 = a1, every row at nu_cap) must leave none
+            # unless on the cycle, and only a1, the path and ``left`` future
+            # improving vertices can be
             keep = r <= left + len(P) + 1
+            b2 = partner[a2]
             if left == 0:  # the next step must close the cycle, and b2 must allow it
-                sn, a1p, b2 = s[par] * n, a1[par], partner[a2]
+                sn, a1p = s[par] * n, a1[par]
                 keep &= (a2 == a1p) | (
                     (Uf[(sn + b2) * n + a1p] > x[sn + b2]) & (Uf[(sn + a1p) * n + b2] < x[sn + a1p])
                 )
-            par, a2, rbp, r = par[keep], a2[keep], rbp[keep], r[keep]
-            Pp = P[:, par]
-            pending = r - (R[rbp + a1[par]] < r)
-            used = np.zeros(par.size, dtype=bool)
-            for j in Pp:
-                pending -= R[rbp + j] < r
-                used |= j == a2
-            keep = (pending <= max(left, 0)) & ~used
-            par, a2, rbp, Pp = par[keep], a2[keep], rbp[keep], Pp[:, keep]
+            par, a2, b2, rbp, r = par[keep], a2[keep], b2[keep], rbp[keep], r[keep]
+            # the pending set: the admirers that the path's b's prefer to
+            # their new partners, off a1 and the path.  A closing (a2 = a1,
+            # every row at nu_cap) must leave it empty, any other step at
+            # most ``left``, without b2, which is about to worsen, and with
+            # a2 not on the path already
+            close, was, bit = a2 == a1[par], used[:, par], BIT[:, a2]
+            held = was | bit
+            pend = (pending[:, par] | PM[kb[par] * K + r].T) & ~held
+            keep = np.bitwise_count(pend).sum(axis=0) <= np.where(close, 0, left)
+            keep &= close | ~((pend & BIT[:, b2]) | (was & bit)).any(axis=0)
+            par, a2, rbp, close, held, pend = (v[..., keep] for v in (par, a2, rbp, close, held, pend))
             # exact blocking of b and a2 at their new utilities with the path
-            Yp = Y[:, par]
+            Pp, Yp = P[:, par], Y[:, par]
             yb, ya = Uf[rbp + a2], UT[rbp + a2]
             ra = (s[par] * n + a2) * n
             blocked = np.zeros(par.size, dtype=bool)
             for j, yj in zip(Pp, Yp):
                 blocked |= (Uf[rbp + j] < yb) & (UT[rbp + j] < yj)
                 blocked |= (Uf[ra + j] < ya) & (UT[ra + j] < yj)
-            close = a2 == a1[par]
             ok = np.flatnonzero(close & ~blocked)
             if ok.size:
-                # a closing's vertices, each worsening one (rows rw of R)
-                # before its new partner, whom it ranks below rv admirers: all
-                # rv must be on the cycle
-                V = np.vstack([Pp[:, ok], b[par[ok]], a2[ok]])
-                rw = (s[par[ok]] * n + V[0::2]) * n
-                rv = R[rw + V[1::2]]
-                ok = ok[((R[rw[:, None] + V] < rv[:, None]).sum(axis=1) == rv).all(axis=0)]
                 keys = np.full((nu_cap + 1, ok.size), -1)
                 keys[0], keys[1], keys[2 : depth + 1] = s[par[ok]], a2[ok], Pp[1::2, ok]
                 closings.append(keys)
@@ -505,10 +541,11 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             kids.append((
                 s[par], a1[par], partner[a2],
                 np.vstack([Pp[:, keep], b[par], a2]), np.vstack([Yp[:, keep], yb[keep], ya[keep]]),
+                held[:, keep] | BIT[:, b[par]], pend[:, keep],
             ))
             kid_rows += par.size
         if lo < len(s):
-            stack.append((s, a1, b, P, Y, lo, start_cum))
+            stack.append((s, a1, b, P, Y, used, pending, lo, start_cum))
         if kid_rows:
             stack.append((*(np.concatenate(k, axis=-1) for k in zip(*kids)), 0, None))
     found = _stable_closings(g, m.partner, closings)
@@ -564,7 +601,7 @@ def _census_chunk(args) -> dict[str, np.ndarray]:
     full_X = np.full(count, -1, dtype=np.int64)
     # the search runs on groups of samples, drawn in sample order: only the
     # fills draw, so the generator's order is that of one sample at a time
-    group = max(1, _SEARCH_BYTES // (_SEARCH_BYTES_PER_N2 * n * n))
+    group = _search_group(n, nu_cap)
     for lo in range(0, count, group):
         Ug = np.stack([_fill_conditional_pairs(m, x, gen) for x in X[lo : lo + group]])
         if n <= enum_cap:
@@ -625,7 +662,10 @@ def run_conditional_census(config: ExperimentConfig) -> list[ConditionalCensusRo
         )
 
     rows = min(config.chunk_len(), config.samples)
-    _check_memory(config, lambda n: _CENSUS_BYTES_PER_N2 * n * n + _EX_BYTES_PER_ENTRY * rows * n)
+    _check_memory(config, lambda n: (
+        _CENSUS_BYTES_PER_N2 * n * n + _prefix_table_bytes(n, config.nu_cap)
+        + config.nu_cap * _SEARCH_BYTES + _EX_BYTES_PER_ENTRY * rows * n
+    ))
     extra = (config.proposal_rate, config.nu_cap, config.enum_cap)
     return _run_grid(config, "census", _census_chunk, extra, row)
 

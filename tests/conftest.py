@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, or_
 
 import numpy as np
 import pytest
@@ -57,7 +58,9 @@ def reference_stability_masks(U: np.ndarray, m: Matching) -> np.ndarray:
     return ok
 
 
-def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
+def reference_single_cycle_neighbors(
+    U: np.ndarray, m: Matching, nu_cap: int, pending_set: bool = True
+):
     """``experiments.stable_single_cycle_neighbors`` as a depth-first
     recursion over one instance, the reference the flat search must match
     in order.  Returns the (half-length, new-partner map) list and the
@@ -66,7 +69,12 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
 
     Searches oriented cycles directly: along a realizable cycle the
     improving and worsening vertices alternate, and every improving vertex
-    must rank its new partner above its old one.
+    must rank its new partner above its old one.  With ``pending_set``, a
+    step is dropped when the admirers that the b's of the path prefer to
+    their new partners, less a1 and the path, hold more agents than the
+    steps left can absorb, or hold the b about to worsen.  Without it, only
+    the current b's admirers are counted: the unpruned search, whose found
+    list must be the same.
     """
     n = m.n
     partner = list(m.partner)
@@ -86,6 +94,8 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
     off = off.tolist()
     cv = list(zip(ub[order].tolist(), js[order].tolist()))
     covet = [cv[off[b] : off[b + 1]] for b in range(n)]
+    # first[b][r]: b's first r admirers in b's order, as the bits of an int
+    first = [list(accumulate((1 << j for _, j in row), or_, initial=0)) for row in covet]
     # cands[b]: admirers a2 that b would take only as a worse partner, in
     # ascending index, as (a2, U[b, a2], U[a2, b], partner of a2, rank of a2
     # in covet[b])
@@ -98,13 +108,13 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
     Ul = U.tolist()
     xl = x.tolist()
     out: list[tuple[int, dict[int, int]]] = []
-    used = [False] * n
+    used = 0  # bits of a1 and the path's vertices
     # committed vertices and their new utilities, step i's (b, a2) at 2i, 2i + 1
     path: list[tuple[int, float]] = []
     nodes = 0
 
-    def extend(a1: int, b: int, depth: int) -> None:
-        nonlocal nodes
+    def extend(a1: int, b: int, depth: int, pending: int) -> None:
+        nonlocal nodes, used
         nodes += 1
         Ub = Ul[b]
         Ua1 = Ul[a1]
@@ -124,7 +134,7 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
                     for val, j in covet[b]:
                         if val >= y_close:
                             break
-                        if not used[j]:
+                        if not used >> j & 1:
                             witness = True
                             break
                 if not witness:
@@ -142,24 +152,28 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
         budget = nu_cap - depth - 1
         xa1 = xl[a1]
         for a2, yb, ya, b2, r in cands[b][bisect_right(cands[b], a1, key=itemgetter(0)) :]:
-            if used[a2]:
+            if used >> a2 & 1:
                 continue
             if budget == 0 and not (Ul[b2][a1] > xl[b2] and Ua1[b2] < xa1):
                 continue  # the next step must close the cycle, and b2 cannot
-            # agents outside the path that would block b's new match can
-            # only be absorbed as future improving vertices.  Committed ones
-            # are used, a2 itself sorts at yb, and at most r agents sort
-            # below it.
-            if r > budget:
-                pending = 0
+            # agents outside the path that would block b's new match, or an
+            # earlier b's, can only be absorbed as future improving vertices
+            if pending_set:
+                kid = (pending | first[b][r]) & ~(used | 1 << a2)
+                if kid.bit_count() > budget or kid >> b2 & 1:
+                    continue
+            elif r > budget:
+                # committed ones are used, a2 itself sorts at yb, and at most
+                # r agents sort below it
+                count = 0
                 for val, j in covet[b]:
                     if val >= yb:
                         break
-                    if not used[j]:
-                        pending += 1
-                        if pending > budget:
+                    if not used >> j & 1:
+                        count += 1
+                        if count > budget:
                             break
-                if pending > budget:
+                if count > budget:
                     continue
             # exact blocking against committed vertices
             blocked = False
@@ -171,18 +185,17 @@ def reference_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int):
                         break
             if blocked:
                 continue
-            used[a2] = used[b2] = True
+            saved = used
+            used |= 1 << a2 | 1 << b2
             path.append((b, yb))
             path.append((a2, ya))
-            extend(a1, b2, depth + 1)
+            extend(a1, b2, depth + 1, kid if pending_set else 0)
             del path[-2:]
-            used[a2] = used[b2] = False
+            used = saved
 
     for a1 in range(n):
-        b1 = partner[a1]
-        used[a1] = used[b1] = True
-        extend(a1, b1, 1)
-        used[a1] = used[b1] = False
+        used = 1 << a1 | 1 << partner[a1]
+        extend(a1, partner[a1], 1, 0)
     return out, nodes
 
 

@@ -238,20 +238,27 @@ _REFERENCE_CASES = [
 @pytest.mark.parametrize("n, nu_cap, samples", _REFERENCE_CASES)
 def test_stable_neighbor_search_matches_reference(n, nu_cap, samples):
     # the same lists in the same order, each map with the same key order,
-    # from one stack of every sample and from each sample alone
+    # from one stack of every sample and from each sample alone; and the
+    # reference without the pending set finds the same lists in no fewer
+    # nodes, so the set drops no stable cycle
     m = Matching.consecutive(n)
     Us = _conditioned_stack(n, samples, 4200 + 10 * n + nu_cap)
-    expected = [_as_items(reference_single_cycle_neighbors(U, m, nu_cap)[0]) for U in Us]
+    pruned = [reference_single_cycle_neighbors(U, m, nu_cap) for U in Us]
+    expected = [_as_items(found) for found, _ in pruned]
     assert [_as_items(f) for f in stable_single_cycle_neighbors(Us, m, nu_cap)] == expected
     assert [_as_items(stable_single_cycle_neighbors(U, m, nu_cap)) for U in Us] == expected
     assert any(expected)
+    unpruned = [reference_single_cycle_neighbors(U, m, nu_cap, pending_set=False) for U in Us]
+    assert [_as_items(found) for found, _ in unpruned] == expected
+    assert all(a[1] <= b[1] for a, b in zip(pruned, unpruned))
 
 
 @pytest.mark.parametrize("n, nu_cap", [(12, 5), (20, 8), (50, 5)])
 def test_census_node_cap_matches_reference_node_count(monkeypatch, n, nu_cap):
+    # the nodes of the reference with the pending set, as the search prunes
     m = Matching.consecutive(n)
     Us = _conditioned_stack(n, 3, 4300 + n)
-    counts = [reference_single_cycle_neighbors(U, m, nu_cap)[1] for U in Us]
+    counts = [reference_single_cycle_neighbors(U, m, nu_cap, pending_set=True)[1] for U in Us]
     for U, count in zip(Us, counts):
         monkeypatch.setattr(experiments, "SEARCH_NODE_CAP", count)
         stable_single_cycle_neighbors(U, m, nu_cap)
@@ -276,7 +283,7 @@ def test_census_chunk_independent_of_search_groups(monkeypatch, n, nu_cap):
     args = (14, n, 3, 40, None, nu_cap, 12)
     default = _census_chunk(args)
     monkeypatch.setattr(experiments, "_SEARCH_BYTES", 4096)
-    assert max(1, experiments._SEARCH_BYTES // (experiments._SEARCH_BYTES_PER_N2 * n * n)) == 1
+    assert experiments._search_group(n, nu_cap) == 1
     small = _census_chunk(args)
     assert default.keys() == small.keys()
     for key in default:
@@ -331,6 +338,20 @@ def test_stable_neighbor_search_matches_brute_force_past_12(n, nu_cap, size):
         assert sorted(tuple(sorted(d.items())) for _, d in found) == brute
         total += len(brute)
     assert total >= 4
+
+
+def test_neighbor_search_fits_node_cap_at_n1000():
+    # the pending set keeps n=1000 at nu_cap 8 under SEARCH_NODE_CAP, which
+    # the search without it passed on this instance
+    n, nu_cap = 1000, 8
+    m = Matching.consecutive(n)
+    (U,) = _conditioned_stack(n, 1, 4800)
+    found = stable_single_cycle_neighbors(U, m, nu_cap)
+    assert found
+    for _, new in found:
+        partner = np.array(m.partner)
+        partner[list(new)] = list(new.values())
+        assert not blocking_mask(U, U[np.arange(n), partner]).any()
 
 
 def test_neighbor_search_rejects_unstable_reference():
