@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.kind == "ex-scaling" and self.samples < 2:
+            # Estimate.importance needs two draws for a standard error
+            raise ConfigError("ex-scaling samples must be >= 2 for a standard error")
         rate = self.proposal_rate
         if rate is not None and (
             isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf
@@ -317,7 +320,7 @@ def run_scaling(config: ExperimentConfig) -> list[ScalingRow]:
     # an instance peaks at its float64 utilities, the two n x n bool masks
     # that irving_decide builds its live table from, and the window: its
     # offsets and about _WINDOW_AGENTS agents per row.  The traced peak of
-    # one instance was 10.67, 10.42 and 10.32 bytes per n^2 at n = 1000, 2000
+    # one instance was 10.57, 10.37 and 10.27 bytes per n^2 at n = 1000, 2000
     # and 3000, of which the window is 0.20, 0.10 and 0.07 and phase 2's
     # live table most of the rest.
     _check_memory(config, lambda n: 10 * n * n + 8 * n * (min(n - 1, _WINDOW_AGENTS) + 1))
@@ -416,6 +419,8 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     fixed numpy cost of every depth, so callers with many instances pass a
     stack.
     """
+    if nu_cap < 2:
+        raise ValueError(f"nu_cap must be >= 2, got {nu_cap}")
     Ug = U if U.ndim == 3 else U[None]
     g, n = len(Ug), m.n
     if Ug.shape[1:] != (n, n):

@@ -93,11 +93,10 @@ def _int_rows(rows, width: int) -> bool:
 class PreferenceProfile:
     """Strict ranked preferences: ``ranks[i]`` lists the other agents, most
     preferred first.  Agents are 0-indexed internally (1-indexed in files).
-    The rows are checked and kept as one read-only array, ``pref_matrix``."""
+    The rows are checked, and ``rank_matrix`` holds their inverse."""
 
     n: int
     ranks: tuple[tuple[int, ...], ...]
-    _pref: np.ndarray = field(init=False, repr=False, compare=False)
     _position: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,15 +118,8 @@ class PreferenceProfile:
         pref = pref.astype(np.int32)
         pos = np.full((n, n), n, dtype=np.int32)
         pos[agents, pref] = cols
-        pref.setflags(write=False)
         pos.setflags(write=False)
-        object.__setattr__(self, "_pref", pref)
         object.__setattr__(self, "_position", pos)
-
-    def pref_matrix(self) -> np.ndarray:
-        """(n, n-1) read-only int array of rankings, row i = agents in i's
-        order."""
-        return self._pref
 
     def rank_matrix(self) -> np.ndarray:
         """(n, n) int array, entry (i, a) = rank of a in i's list; n on the
@@ -151,22 +143,18 @@ def preference_rows(u: np.ndarray) -> np.ndarray:
     return np.argsort(u, axis=1)[:, : u.shape[1] - 1]
 
 
-def preference_window(u: np.ndarray, t: float) -> np.ndarray:
-    """The agents that each row of an (n, n) score array scores below ``t``,
-    in ascending score, packed in one int array: n+1 offsets into the array
-    itself, then the rows' agents, row i at ``w[w[i]:w[i + 1]]``.  A row's own
-    agent is never listed, so with the diagonal above the row's other
-    entries every window row is a prefix of its ``preference_rows`` row.
-    The entries are sorted by score, then stably by row, which keeps each
-    row's order exact (a key such as ``row + u`` rounds u to the spacing at
-    the row's size)."""
-    n = u.shape[0]
-    below = u < t
-    np.fill_diagonal(below, False)
-    flat = np.flatnonzero(below)
-    del below
+def packed_rows(score: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For every row i of an (n, n) score array, the agents j with
+    ``mask[i, j]``, in ascending score, packed in one int array: n+1 offsets
+    into the array itself, then the rows' agents, row i at
+    ``w[w[i]:w[i + 1]]``.  The entries are sorted by score, then stably by
+    row, which keeps each row's order exact (a key such as ``row + score``
+    rounds the score to the spacing at the row's size), and the row keys'
+    narrow dtype makes the second sort a radix sort."""
+    n = score.shape[0]
+    flat = np.flatnonzero(mask)
     row_of = (flat // n).astype(np.min_scalar_type(n - 1))
-    order = np.argsort(np.take(u, flat))
+    order = np.argsort(np.take(score, flat))
     order = order[np.argsort(row_of[order], kind="stable")]
     w = np.empty(n + 1 + flat.size, dtype=np.intp)
     w[0] = n + 1
@@ -174,6 +162,16 @@ def preference_window(u: np.ndarray, t: float) -> np.ndarray:
     w[1 : n + 1] += n + 1
     np.remainder(flat[order], n, out=w[n + 1 :])
     return w
+
+
+def preference_window(u: np.ndarray, t: float) -> np.ndarray:
+    """The agents that each row of an (n, n) score array scores below ``t``,
+    packed as ``packed_rows`` packs them.  A row's own agent is never
+    listed, so with the diagonal above the row's other entries every window
+    row is a prefix of its ``preference_rows`` row."""
+    below = u < t
+    np.fill_diagonal(below, False)
+    return packed_rows(u, below)
 
 
 def rank_from_utilities(um: UtilityMatrix) -> PreferenceProfile:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import InvalidInstanceError, PreferenceProfile, check_agent_count, preference_rows
+from .instances import (
+    InvalidInstanceError,
+    PreferenceProfile,
+    check_agent_count,
+    packed_rows,
+    preference_rows,
+    preference_window,
+)
 from .matchings import Matching
 
 
@@ -59,39 +66,33 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
     above the row's other entries so that each agent sorts itself last.
     Working with score thresholds instead of rank positions keeps the hot
     path free of an auxiliary rank-matrix build.
-    ``pref``: each row's first agents in preference order (best first),
-    either the full (n, n-1) table of ``preference_rows(score)`` or a window
-    packed as ``preference_window(score, t)`` gives it: n+1 offsets into the
-    array, then the rows, each up to n-1 agents long.  A proposer that runs
-    off the end of its row has the row listed again from ``score``, up to
-    four times the score of its last listed agent (the whole row when that
-    adds no agent or the score is not positive), so the result is that of
-    the full table.
+    ``pref``: each row's first agents, best first, in the format of
+    ``packed_rows`` (``preference_window(score, t)`` gives one): n+1
+    offsets into the array, then the rows, each up to n-1 agents long.  A
+    proposer that runs off the end of its row has the row listed again from
+    ``score``, up to four times the score of its last listed agent (the
+    whole row when that adds no agent or the score is not positive), so the
+    result is that of the full lists.
     Phase 1 reads ``pref`` as one flat array; phase 2 never reads it, but
-    runs on a table of the entries alive after phase 1, built once from its
-    thresholds.  Scalars are read through memoryviews, which copy nothing
-    and return Python numbers faster than numpy scalar indexing.
+    runs on a table of the entries alive after phase 1, packed once by
+    ``packed_rows`` from its thresholds.  Scalars are read through
+    memoryviews, which copy nothing and return Python numbers faster than
+    numpy scalar indexing.
     Returns (partner list or None, proposal count, rotation count).
     """
     n = score.shape[0]
-    if pref.shape == (n, n - 1):
-        P = memoryview(pref.ravel())
-        start = list(range(0, n * (n - 1), n - 1))
-        end = start[1:] + [n * (n - 1)]
-    else:
-        ok = pref.ndim == 1 and pref.size > n
-        if ok:
-            lengths = np.diff(pref[: n + 1])
-            ok = pref[0] == n + 1 and pref[n] == pref.size and 0 <= lengths.min()
-            ok = ok and lengths.max() <= n - 1
-        if not ok:
-            raise ValueError(
-                f"pref must be an ({n}, {n - 1}) table or {n + 1} row offsets followed "
-                f"by the rows, got shape {pref.shape}"
-            )
-        P = memoryview(pref)
-        start = pref[:n].tolist()
-        end = pref[1 : n + 1].tolist()
+    ok = pref.ndim == 1 and pref.size > n
+    if ok:
+        lengths = np.diff(pref[: n + 1])
+        ok = pref[0] == n + 1 and pref[n] == pref.size and 0 <= lengths.min()
+        ok = ok and lengths.max() <= n - 1
+    if not ok:
+        raise ValueError(
+            f"pref must be {n + 1} row offsets followed by the rows, got shape {pref.shape}"
+        )
+    P = memoryview(pref)
+    start = pref[:n].tolist()
+    end = pref[1 : n + 1].tolist()
     S = memoryview(score)
     # x's row is rows[x][start[x]:end[x]], and nxt[x] its next position
     # there; an extended row gets a list of its own
@@ -150,24 +151,17 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
                 x = h
     # Phase 2 runs on a table of the live entries: (i, j) is alive iff both
     # sides admit it.  Row i's live entries sit in L[off[i]:off[i + 1]] in
-    # i's order (ascending score), found in numpy from the phase-1
-    # thresholds.  Sorting by score, then stably by row keeps that order
-    # exact, and the row keys' narrow dtype makes the second sort a radix
-    # sort.
+    # i's order (ascending score), packed from the phase-1 thresholds.
     admit = score <= np.array(ws)[:, None]
-    flat = np.flatnonzero(admit & admit.T)
+    admit = admit & admit.T  # the rebinding frees the one-sided mask before the packing
+    live = packed_rows(score, admit)
     del admit
-    row_of = (flat // n).astype(np.min_scalar_type(n - 1))
-    order = np.argsort(np.take(score, flat))
-    order = order[np.argsort(row_of[order], kind="stable")]
-    flat = flat[order]
-    cols = flat % n
+    cols = live[n + 1 :]
     L = memoryview(cols)
     # R[pos]: the score that agent L[pos] gives the row's agent, so the entry
     # stays alive while R[pos] <= ws[L[pos]]
-    R = memoryview(np.take(score, cols * n + flat // n))
-    off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row_of, minlength=n), out=off[1:])
+    off = live[: n + 1] - (n + 1)
+    R = memoryview(score[cols, np.arange(n).repeat(off[1:] - off[:-1])])
     off = off.tolist()
     # Entries only ever die, so every scan pointer below moves one way.
     fp = off[:n]  # phase 1 leaves each agent's first live entry at its offset
@@ -273,7 +267,9 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
 
 def irving_solve(p: PreferenceProfile) -> SolveResult:
     """Decide whether a stable matching exists; return one if so."""
-    partner, proposals, rotations = irving_decide(p.pref_matrix(), p.rank_matrix())
+    rank = p.rank_matrix()
+    # a window at threshold n lists every row whole: no row is extended
+    partner, proposals, rotations = irving_decide(preference_window(rank, p.n), rank)
     matching = Matching(tuple(partner)) if partner is not None else None
     return SolveResult(matching, proposals, rotations)
 

@@ -121,6 +121,19 @@ def test_stable_neighbor_search_matches_brute_force():
             assert found == brute
 
 
+def test_stable_neighbor_search_rejects_nu_cap_below_2():
+    # a cycle has half-length >= 2; a cap of 0 used to reach numpy's
+    # "negative dimensions are not allowed"
+    n = 8
+    m = Matching.consecutive(n)
+    gen = np.random.default_rng(5)
+    X, _ = _conditional_x_batch(m, 1, gen)
+    U = _fill_conditional_pairs(m, X[0], gen)
+    for nu_cap in (0, 1):
+        with pytest.raises(ValueError, match="nu_cap must be >= 2"):
+            stable_single_cycle_neighbors(U, m, nu_cap)
+
+
 # (n, nu_cap): samples, and a digest of the lists that
 # stable_single_cycle_neighbors returned on them, in the order found, with
 # each new-partner map as its sorted items.  The brute-force comparison
@@ -983,6 +996,15 @@ def test_census_beyond_physical_memory_fails_before_work(tmp_path):
         "--workers", "2", "--output", str(out),
     )
     assert run.returncode == 3 and "physical memory" in run.stderr
+    assert not out.exists()
+
+
+def test_ex_scaling_with_one_sample_fails_before_work(tmp_path):
+    # one draw has no standard error: the run used to warn twice ("Degrees
+    # of freedom <= 0") and write stderr = nan with exit 0
+    out = tmp_path / "ex.csv"
+    run = _cli("ex-scaling", "--n-grid", "4", "--samples", "1", "--output", str(out))
+    assert run.returncode == 2 and "samples" in run.stderr
     assert not out.exists()
 
 

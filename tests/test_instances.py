@@ -12,6 +12,7 @@ from roommates.instances import (
     RngStream,
     TieError,
     UtilityMatrix,
+    packed_rows,
     parse_instance,
     rank_from_utilities,
     sample_profile,
@@ -213,13 +214,38 @@ def test_profile_arrays_match_rows():
     for seed in range(300):
         n = 2 * int(gen.integers(2, 101))
         p = sample_profile(n, RngStream(seed, 3))
-        pref, pos = p.pref_matrix(), p.rank_matrix()
-        assert pref.dtype == pos.dtype == np.int32
-        assert not pref.flags.writeable and not pos.flags.writeable
-        assert pref.tolist() == [list(row) for row in p.ranks]
-        # rank_matrix inverts each row and holds n on the diagonal
-        assert (np.take_along_axis(pos, pref, axis=1) == np.arange(n - 1)).all()
+        pos = p.rank_matrix()
+        assert pos.dtype == np.int32 and not pos.flags.writeable
+        # rank_matrix inverts each row, pos[i, ranks[i][r]] == r, and holds
+        # n on the diagonal
+        ranks = np.array(p.ranks)
+        assert (np.take_along_axis(pos, ranks, axis=1) == np.arange(n - 1)).all()
         assert (np.diag(pos) == n).all()
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 63, 200])
+def test_packed_rows_on_masks_that_are_not_thresholds(n):
+    # phase 2 of irving_decide packs the mask admit & admit.T, which no
+    # threshold gives; each row must list its masked agents in ascending
+    # score, for utilities and for int32 ranks, which tie across rows
+    gen = np.random.default_rng(4100 + n)
+    for density in (0.1, 0.5, 0.9):
+        u = gen.random((n, n))
+        np.fill_diagonal(u, 2.0)
+        rank = np.argsort(np.argsort(u, axis=1), axis=1).astype(np.int32)
+        mask = gen.random((n, n)) < density
+        mask[0] = False
+        mask[n - 1] = True
+        np.fill_diagonal(mask, False)
+        for score in (u, rank):
+            w = packed_rows(score, mask)
+            assert w.dtype == np.intp
+            assert w[0] == n + 1 and w[n] == w.size
+            assert (np.diff(w[: n + 1]) == mask.sum(axis=1)).all()
+            assert w[1] == w[0] and w[n] - w[n - 1] == n - 1  # the empty row and the full one
+            for i in range(n):
+                oracle = sorted(np.flatnonzero(mask[i]).tolist(), key=lambda j: score[i, j])
+                assert w[w[i] : w[i + 1]].tolist() == oracle, (density, i)
 
 
 def test_utility_matrix_rejects_bad_diagonal_and_nan():

@@ -285,17 +285,17 @@ def _window_rows(w):
 
 def test_window_threshold_does_not_change_result():
     # irving_decide extends a row from the scores when phase 1 runs past the
-    # end of its window, so any threshold gives the full table's result.
+    # end of its window, so any threshold gives the full lists' result.
     # t = 0 empties every row, so each row is extended from nothing; t = 3
     # fills every row and lies above the diagonal sentinel, which no window
-    # lists; 1/n extends most rows
+    # lists, so its window is the oracle; 1/n extends most rows
     phase1_failures = 0
     for n, reps in ((4, 200), (8, 200), (12, 100), (14, 100), (50, 30), (200, 8), (1000, 2)):
         for r in range(reps):
             u = RngStream(5150 + n, r).generator().random((n, n))
             np.fill_diagonal(u, 2.0)
             full_rows = preference_rows(u)
-            full = irving_decide(full_rows, u)
+            full = irving_decide(preference_window(u, 3.0), u)
             for t in (0.0, 1 / n, 8 / n, 24 / n, 1.0, 3.0):
                 w = preference_window(u, t)
                 for i, row in enumerate(_window_rows(w)):
@@ -322,7 +322,7 @@ def test_window_sorts_entries_one_ulp_apart_in_a_high_row():
     row = _window_rows(w)[999]
     assert row[:2] == [7, 5]
     assert row == preference_rows(u)[999, : len(row)].tolist()
-    assert irving_decide(w, u) == irving_decide(preference_rows(u), u)
+    assert irving_decide(w, u) == irving_decide(preference_window(u, 3.0), u)
 
 
 def test_solver_pinned_at_n1000():
@@ -345,12 +345,12 @@ def test_solver_pinned_at_n1000():
 
 def test_irving_decide_rejects_bad_pref_shape():
     # a block of width n holds each agent itself; it used to give (None, 4, 1)
-    # on this instance, whose full table gives (None, 3, 0).  A window never
+    # on this instance, whose full lists give (None, 3, 0).  A window never
     # lists the agent itself, whatever its threshold, and the draws of a
-    # scaling instance at n = 4 fill every row below the sentinel
+    # scaling instance at n = 4 fill every row below the sentinel.  The
+    # (n, n-1) table of preference_rows is not a window either
     u = RngStream(4, 114).generator().random((4, 4))
     np.fill_diagonal(u, 2.0)
-    assert irving_decide(preference_rows(u), u) == (None, 3, 0)
     for t in (24 / 4, 3.0):
         assert irving_decide(preference_window(u, t), u) == (None, 3, 0)
     w = preference_window(u, 3.0)  # offsets 5, 8, 11, 14, 17
@@ -359,7 +359,7 @@ def test_irving_decide_rejects_bad_pref_shape():
     backwards = w.copy()
     backwards[2] = w[1] - 1  # row 1 ends before it starts
     bad_windows = [w[:4], w[1:], w[:-1], np.concatenate([w, w[-1:]]), long_row, backwards]
-    for pref in (np.argsort(u, axis=1), preference_rows(u)[:, :0], preference_rows(u)[:3],
-                 preference_rows(u)[0], *bad_windows):
+    for pref in (np.argsort(u, axis=1), preference_rows(u), preference_rows(u)[:, :0],
+                 preference_rows(u)[:3], preference_rows(u)[0], *bad_windows):
         with pytest.raises(ValueError, match="pref"):
             irving_decide(pref, u)
