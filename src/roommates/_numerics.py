@@ -136,25 +136,42 @@ def pair_log1p_sum_rows(X: np.ndarray) -> np.ndarray:
                 total[block], ran[lo] = _power_series_rows(Xs, order)
                 order = ran[lo]
 
-    for idx in np.nonzero(has_big)[0]:
-        row = X[idx]
-        big_idx = np.nonzero(big[idx])[0]
-        corr = 0.0
-        for b in big_idx:
-            prods = row[b] * row
-            prods[b] = 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.log1p(-prods)
-            if np.any(prods >= 1.0):
-                corr = float("-inf")
-                break
-            corr += float(logs.sum())
-        else:
-            for a_pos in range(len(big_idx)):
-                for b_pos in range(a_pos + 1, len(big_idx)):
-                    f = 1.0 - row[big_idx[a_pos]] * row[big_idx[b_pos]]
-                    corr -= math.log(f) if f > 0.0 else float("-inf")
-        total[idx] += corr
+    # the exact correction: for every pair (row, big entry b) the sum of
+    # log(1 - x_b x_j) over j != b, each a C-ordered row summed as its own
+    # row, in blocks as the series runs; each row's sums added up in the
+    # order of its big entries, less the pairs of big entries counted twice,
+    # and -inf where a product reaches 1
+    rows_big = np.flatnonzero(has_big)
+    if rows_big.size:
+        r, b = np.nonzero(big[rows_big])
+        row = rows_big[r]
+        sums, hit = np.empty(len(r)), np.empty(len(r), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, len(r), rows):
+                at, bp = row[lo : lo + rows], b[lo : lo + rows]
+                prods = X[at] * X[at, bp][:, None]
+                prods[np.arange(len(bp)), bp] = 0.0
+                hit[lo : lo + rows] = (prods >= 1.0).any(axis=1)
+                sums[lo : lo + rows] = np.log1p(-prods).sum(axis=1)
+        count = np.bincount(r)
+        ends = np.cumsum(count)
+        first = ends - count
+        corr = np.zeros(len(rows_big))
+        for k in range(count.max()):
+            more = count > k
+            corr[more] += sums[first[more] + k]
+        dead = np.logical_or.reduceat(hit, first)
+        multi = np.flatnonzero((count > 1) & ~dead)
+        vals, out = X[row, b].tolist(), corr.tolist()
+        for i, lo, hi in zip(multi.tolist(), first[multi].tolist(), ends[multi].tolist()):
+            v, c = vals[lo:hi], out[i]
+            for a_pos, va in enumerate(v):
+                for vb in v[a_pos + 1 :]:
+                    c -= math.log(1.0 - va * vb)
+            out[i] = c
+        corr = np.array(out)
+        corr[dead] = -math.inf
+        total[rows_big] += corr
     return total
 
 

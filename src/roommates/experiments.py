@@ -31,7 +31,13 @@ from .estimators import (
     expected_count_log_weights,
     gpi_rows,
 )
-from .instances import InvalidInstanceError, RngStream, check_agent_count, preference_window
+from .instances import (
+    InvalidInstanceError,
+    RngStream,
+    check_agent_count,
+    preference_window,
+    row_order,
+)
 from .matchings import Matching
 from .solvers import _SEARCH_BYTES, ENUM_CAP, ResourceCapError, count_stable_stack, irving_decide
 
@@ -113,9 +119,10 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.kind == "ex-scaling" and self.samples < 2:
-            # Estimate.importance needs two draws for a standard error
-            raise ConfigError("ex-scaling samples must be >= 2 for a standard error")
+        if self.kind != "scaling" and self.samples < 2:
+            # the importance and self-normalised estimates need two draws
+            # for a standard error
+            raise ConfigError(f"{self.kind} samples must be >= 2 for a standard error")
         rate = self.proposal_rate
         if rate is not None and (
             isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf
@@ -365,8 +372,8 @@ def run_ex_scaling(config: ExperimentConfig) -> list[ExpectedCountRow]:
 
 # Search nodes (paths extended) that stable_single_cycle_neighbors may
 # expand on one instance before it raises ResourceCapError.  An instance
-# takes about 33 nodes at n=12 and 270 at n=50 with nu_cap 5, 1.2k at n=200
-# with nu_cap 5 and 5.6k with nu_cap 8, and 30k (about 0.12 s) at n=1000
+# takes about 28 nodes at n=12 and 210 at n=50 with nu_cap 5, 0.9k at n=200
+# with nu_cap 5 and 3.7k with nu_cap 8, and 19k (about 0.11 s) at n=1000
 # with nu_cap 8.
 SEARCH_NODE_CAP = 1_000_000
 # The census search's group holds about _SEARCH_BYTES_PER_N2 per n^2 and
@@ -411,7 +418,8 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
     prefer to their new partners, less a1 and the path's vertices.  Each
     would block unless a later step takes it as an improving vertex, so a
     step is dropped when the set holds more agents than the steps left can
-    take, or holds the b about to worsen.  The step's own tests decide each
+    take, holds the b about to worsen, or holds an agent below a1, which no
+    later step can take (every a2 is >= a1).  The step's own tests decide each
     closing exactly: as ``m`` is stable, only a worsening vertex can block
     with an agent off the cycle, and does so exactly when it prefers one of
     its admirers there to its new partner, so a closing needs an empty
@@ -442,22 +450,24 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
         raise InvalidInstanceError(
             f"m is not stable in sample {sb // n}: agents {sb % n} and {j} block it"
         )
-    order = np.lexsort((ub, key))
+    order = row_order(key, ub, g * n)
     rank = np.empty(e.size, np.intp)
-    rank[order] = np.arange(e.size) - np.searchsorted(key, key[order])
+    rank[order] = np.arange(e.size) - np.searchsorted(key, key)
     # candidates: admirers a2 that b would take only as a worse partner, and
     # with at most 2 nu_cap - 3 admirers below them, which a path can absorb
     keep = (ub > xb) & (rank <= 2 * nu_cap - 3)
     cand, cand_r = e[keep], rank[keep]
     cand_a2 = cand % n
     coff = np.searchsorted(cand, np.arange(g * n + 1) * n)
-    # sets of agents as W words of bits: BIT[:, v] holds v alone, and
-    # PM[(s n + b) K + r] b's first r admirers in b's order, for every rank r
-    # a candidate can have
+    # sets of agents as W words of bits: BIT[:, v] holds v alone, LOW[:, v]
+    # the agents below v, and PM[(s n + b) K + r] b's first r admirers in b's
+    # order, for every rank r a candidate can have
     W, K = -(-n // 64), min(2 * nu_cap - 2, int(rank.max(initial=0)) + 1)
     ids = np.arange(n)
     BIT = np.zeros((W, n), np.uint64)
     BIT[ids >> 6, ids] = np.uint64(1) << (ids & 63).astype(np.uint64)
+    LOW = np.zeros((W, n), np.uint64)
+    np.bitwise_or.accumulate(BIT[:, :-1], axis=1, out=LOW[:, 1:])
     head = rank < K - 1
     PM = np.zeros((g * n, K, W), np.uint64)
     PM[key[head], rank[head] + 1] = BIT[:, e[head] % n].T
@@ -520,13 +530,15 @@ def stable_single_cycle_neighbors(U: np.ndarray, m: Matching, nu_cap: int) -> li
             # the pending set: the admirers that the path's b's prefer to
             # their new partners, off a1 and the path.  A closing (a2 = a1,
             # every row at nu_cap) must leave it empty, any other step at
-            # most ``left``, without b2, which is about to worsen, and with
-            # a2 not on the path already
-            close, was, bit = a2 == a1[par], used[:, par], BIT[:, a2]
+            # most ``left``, without b2, which is about to worsen, or an
+            # agent below a1, which no later a2 can be, and with a2 not on
+            # the path already
+            a1p = a1[par]
+            close, was, bit = a2 == a1p, used[:, par], BIT[:, a2]
             held = was | bit
             pend = (pending[:, par] | PM[kb[par] * K + r].T) & ~held
             keep = np.bitwise_count(pend).sum(axis=0) <= np.where(close, 0, left)
-            keep &= close | ~((pend & BIT[:, b2]) | (was & bit)).any(axis=0)
+            keep &= close | ~((pend & (BIT[:, b2] | LOW[:, a1p])) | (was & bit)).any(axis=0)
             par, a2, rbp, close, held, pend = (v[..., keep] for v in (par, a2, rbp, close, held, pend))
             # exact blocking of b and a2 at their new utilities with the path
             Pp, Yp = P[:, par], Y[:, par]

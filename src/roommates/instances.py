@@ -143,19 +143,26 @@ def preference_rows(u: np.ndarray) -> np.ndarray:
     return np.argsort(u, axis=1)[:, : u.shape[1] - 1]
 
 
+def row_order(row: np.ndarray, score: np.ndarray, rows: int) -> np.ndarray:
+    """The permutation that sorts entries by ``row`` (each below ``rows``),
+    then by ascending ``score`` within a row.  The entries are sorted by
+    score, then stably by row, which keeps each row's order exact (a key
+    such as ``row + score`` rounds the score to the spacing at the row's
+    size), and the row keys' narrow dtype makes the second sort a radix
+    sort where they fit in 16 bits."""
+    order = np.argsort(score)
+    return order[np.argsort(row.astype(np.min_scalar_type(rows - 1))[order], kind="stable")]
+
+
 def packed_rows(score: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """For every row i of an (n, n) score array, the agents j with
     ``mask[i, j]``, in ascending score, packed in one int array: n+1 offsets
     into the array itself, then the rows' agents, row i at
-    ``w[w[i]:w[i + 1]]``.  The entries are sorted by score, then stably by
-    row, which keeps each row's order exact (a key such as ``row + score``
-    rounds the score to the spacing at the row's size), and the row keys'
-    narrow dtype makes the second sort a radix sort."""
+    ``w[w[i]:w[i + 1]]``, in ``row_order``."""
     n = score.shape[0]
     flat = np.flatnonzero(mask)
-    row_of = (flat // n).astype(np.min_scalar_type(n - 1))
-    order = np.argsort(np.take(score, flat))
-    order = order[np.argsort(row_of[order], kind="stable")]
+    row_of = flat // n
+    order = row_order(row_of, np.take(score, flat), n)
     w = np.empty(n + 1 + flat.size, dtype=np.intp)
     w[0] = n + 1
     np.cumsum(np.bincount(row_of, minlength=n), out=w[1 : n + 1])

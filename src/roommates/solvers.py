@@ -21,7 +21,6 @@ from .instances import (
     check_agent_count,
     packed_rows,
     preference_rows,
-    preference_window,
 )
 from .matchings import Matching
 
@@ -267,9 +266,13 @@ def irving_decide(pref: np.ndarray, score: np.ndarray):
 
 def irving_solve(p: PreferenceProfile) -> SolveResult:
     """Decide whether a stable matching exists; return one if so."""
-    rank = p.rank_matrix()
-    # a window at threshold n lists every row whole: no row is extended
-    partner, proposals, rotations = irving_decide(preference_window(rank, p.n), rank)
+    n, rank = p.n, p.rank_matrix()
+    # every row whole in the layout of packed_rows, scattered from the ranks:
+    # row i puts each agent at its rank, and i itself in a spare column
+    rows = np.empty((n, n + 1), dtype=np.intp)
+    rows[np.arange(n)[:, None], rank] = np.arange(n)
+    pref = np.concatenate([n + 1 + (n - 1) * np.arange(n + 1), rows[:, : n - 1].ravel()])
+    partner, proposals, rotations = irving_decide(pref, rank)
     matching = Matching(tuple(partner)) if partner is not None else None
     return SolveResult(matching, proposals, rotations)
 

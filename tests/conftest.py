@@ -72,7 +72,8 @@ def reference_single_cycle_neighbors(
     must rank its new partner above its old one.  With ``pending_set``, a
     step is dropped when the admirers that the b's of the path prefer to
     their new partners, less a1 and the path, hold more agents than the
-    steps left can absorb, or hold the b about to worsen.  Without it, only
+    steps left can absorb, or hold the b about to worsen or an agent below
+    a1, which no later improving vertex can be.  Without it, only
     the current b's admirers are counted: the unpruned search, whose found
     list must be the same.
     """
@@ -160,7 +161,7 @@ def reference_single_cycle_neighbors(
             # earlier b's, can only be absorbed as future improving vertices
             if pending_set:
                 kid = (pending | first[b][r]) & ~(used | 1 << a2)
-                if kid.bit_count() > budget or kid >> b2 & 1:
+                if kid.bit_count() > budget or kid >> b2 & 1 or kid & ((1 << a1) - 1):
                     continue
             elif r > budget:
                 # committed ones are used, a2 itself sorts at yb, and at most

@@ -118,6 +118,30 @@ def test_blocked_batch_kernels_are_bitwise_whole_batch(monkeypatch):
         assert np.array_equal(row_sums(prop.log_pdf, X), prop.log_pdf(X).sum(axis=1))
 
 
+@pytest.mark.parametrize("n", [12, 50, 1000])
+def test_large_entry_correction_bitwise_on_census_batches(n):
+    # census draws leave most rows with entries above 0.5; the correction
+    # sums each (row, big entry) pair as its own row, so it must give the
+    # reference's bits with 0, 1, 2 or many big entries per row, big
+    # entries in the first and last columns, and a product of 1
+    m = Matching.consecutive(n)
+    rng = np.random.default_rng(2500 + n)
+    X, _ = _conditional_x_batch(m, 24, rng)
+    X[:6] = np.minimum(X[:6], 0.5)
+    X[1, 0] = 0.9
+    X[2, [0, n - 1]] = [0.6, 0.8]
+    X[3, [1, 4, 7, n - 1]] = [0.55, 0.7, 0.95, 0.99]
+    X[4, rng.choice(n, n // 2, replace=False)] = 0.5 + 0.5 * rng.random(n // 2)
+    X[5, [2, n - 1]] = 1.0
+    assert (X[:4] > 0.5).sum(axis=1).tolist() == [0, 1, 2, 4]
+    out = pair_log1p_sum_rows(X)
+    assert np.array_equal(out, reference_pair_log1p_sum_rows(X))
+    assert out[5] == float("-inf") and np.isfinite(np.delete(out, 5)).all()
+    for r in range(6):  # each as a 1-row batch
+        row = X[r : r + 1]
+        assert np.array_equal(pair_log1p_sum_rows(row), reference_pair_log1p_sum_rows(row))
+
+
 def test_stability_product_log_edge_cases():
     m = Matching.consecutive(6)
     assert stability_product_log(PartnerUtilities(np.zeros(6), m)) == 0.0

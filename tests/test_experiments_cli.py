@@ -1008,6 +1008,16 @@ def test_ex_scaling_with_one_sample_fails_before_work(tmp_path):
     assert not out.exists()
 
 
+def test_census_with_one_sample_fails_before_work(tmp_path):
+    # the self-normalised stderr of one draw is 0: the run used to write
+    # stderr_X = 0.0 and xcirc_le_stderr = 0.0 with exit 0
+    out = tmp_path / "c.csv"
+    run = _cli("census", "--n-grid", "12", "--samples", "1", "--output", str(out))
+    assert run.returncode == 2
+    assert "census samples must be >= 2 for a standard error" in run.stderr
+    assert not out.exists()
+
+
 def test_ex_scaling_beyond_physical_memory_fails_before_work(tmp_path):
     # 10 bytes per batch entry: 2 workers x 10^5 rows x 10^6 agents is
     # about 2 TB on any host; the check runs before n = 4 does

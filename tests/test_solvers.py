@@ -268,6 +268,23 @@ def test_irving_solve_rank_matrices_stable(n):
             assert is_stable(p, result.matching)
 
 
+@pytest.mark.parametrize("n", [4, 6, 12, 50, 1000])
+def test_irving_solve_packs_whole_rows_from_the_ranks(monkeypatch, n):
+    # the scatter of the rank matrix must give the array that the window at
+    # threshold n gives by sorting: every row whole, in preference order
+    packed = []
+    decide = solvers.irving_decide
+    monkeypatch.setattr(
+        solvers, "irving_decide", lambda pref, score: packed.append(pref) or decide(pref, score)
+    )
+    for r in range(3 if n < 1000 else 1):
+        p = sample_profile(n, RngStream(818 + n, r))
+        irving_solve(p)
+        expected = preference_window(p.rank_matrix(), n)
+        assert packed[-1].dtype == expected.dtype
+        assert np.array_equal(packed[-1], expected)
+
+
 def test_scaling_counts_pinned():
     # count_exists as recorded before phase 2 was amortised
     pinned = {11: [201, 175], 12: [184, 163]}
